@@ -24,8 +24,9 @@ from .gadgets import (GadgetMap, ThreeOneTree, as_31_tree, build_tight_graph,
                       replace_deg2, tree_canonical_form)
 from .graphs import (DegreeProfile, Graph, Graph6Error, GraphError, bits,
                      claw_centers, classify_degrees, complete_bipartite,
-                     complete_graph, connected_components, cycle_graph,
-                     disjoint_union, graph_from_edges, induced_subgraph,
+                     complete_graph, components, connected_components,
+                     cycle_graph, disjoint_union, graph_from_edges,
+                     induced_subgraph,
                      is_acyclic, is_connected, mask_of, maximum_matching_bipartite,
                      minimum_edge_cover, parse_graph6, path_graph,
                      petersen_graph, prism_graph, star_graph, write_graph6)

@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass
 
 from .forcing import closure, is_zero_forcing_set, zero_forcing_number
-from .graphs import (GraphError, bits, classify_degrees, connected_components,
+from .graphs import (Graph, GraphError, bits, classify_degrees, components,
+                     connected_components, graph_from_edges, induced_edge_count,
                      induced_subgraph, is_acyclic, is_connected, mask_of,
                      minimum_edge_cover)
 from .independence import is_independent, is_near_independent, maximum_independent_set
@@ -93,31 +94,10 @@ def minimum_path_cover(f):
 # maximum independent set with all-path complement
 
 
-def _component_of(g, v, within):
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u] & within
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
-
-
 def _cycle_components(g, h_mask):
     """Components of the induced subgraph on h_mask that contain a cycle."""
-    out = []
-    rem = h_mask
-    while rem:
-        v = next(bits(rem))
-        comp = _component_of(g, v, h_mask)
-        rem &= ~comp
-        nverts = comp.bit_count()
-        nedges = sum((g.adj[u] & comp).bit_count() for u in bits(comp)) // 2
-        if nedges >= nverts:
-            out.append(comp)
-    return out
+    return [c for c in components(g, h_mask)
+            if induced_edge_count(g, c) >= c.bit_count()]
 
 
 def _forbid_k4_components(g):
@@ -155,12 +135,13 @@ def path_complement_mis(g):
 
 def _swap_once(g, a_mask, h_mask, cycle_comps):
     n_cycles = len(cycle_comps)
+    h_comps = components(g, h_mask)
 
     def h_degree(v):
         return (g.adj[v] & h_mask).bit_count()
 
     def comp_of(v):
-        return _component_of(g, v, h_mask)
+        return next(c for c in h_comps if c >> v & 1)
 
     def cycles_after(candidate):
         return len(_cycle_components(g, g.full_mask & ~candidate))
@@ -234,40 +215,26 @@ def _path_components_after_removal(g, f_mask, removed_edges):
     Returns each component as an ordered vertex path; raises if any component
     is not a path.
     """
-    adj = {}
-    for v in bits(f_mask):
-        nbrs = set(bits(g.adj[v] & f_mask))
-        adj[v] = nbrs
+    adj = [row & f_mask if f_mask >> v & 1 else 0 for v, row in enumerate(g.adj)]
     for u, v in removed_edges:
-        adj[u].discard(v)
-        adj[v].discard(u)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    cover = Graph(g.n, tuple(adj))
     paths = []
-    seen = set()
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            for u in adj[w]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        degs = {w: len(adj[w] & comp) for w in comp}
-        if any(d > 2 for d in degs.values()):
+    for comp in components(cover, f_mask):
+        if any(adj[w].bit_count() > 2 for w in bits(comp)):
             raise GraphError("component is not a path after edge-cover removal")
-        ends = sorted(w for w in comp if degs[w] <= 1)
-        if len(comp) == 1:
-            paths.append([next(iter(comp))])
+        ends = [w for w in bits(comp) if adj[w].bit_count() <= 1]
+        size = comp.bit_count()
+        if size == 1:
+            paths.append(ends)
             continue
         if len(ends) != 2:
             raise GraphError("cyclic component after edge-cover removal")
         walk = [ends[0]]
         prev = None
-        while len(walk) < len(comp):
-            nxts = [u for u in adj[walk[-1]] & comp if u != prev]
+        while len(walk) < size:
+            nxts = [u for u in bits(adj[walk[-1]]) if u != prev]
             prev = walk[-1]
             walk.append(nxts[0])
         paths.append(walk)
@@ -305,10 +272,9 @@ def forcing_set_from_decycling(g, s_mask):
     if not classify_degrees(g).is_cubic:
         raise GraphError("forcing_set_from_decycling requires a cubic graph")
     f_mask = g.full_mask & ~s_mask
-    forest, f_verts = induced_subgraph(g, f_mask)
-    if not is_acyclic(forest):
+    if not is_acyclic(g, f_mask):
         raise GraphError("g - S must be acyclic")
-    c = len(connected_components(forest)) if forest.n else 0
+    c = len(components(g, f_mask))
 
     deg_f = {v: (g.adj[v] & f_mask).bit_count() for v in bits(f_mask)}
     d3 = sorted(v for v in bits(f_mask) if deg_f[v] == 3)
@@ -335,7 +301,6 @@ def forcing_set_from_decycling(g, s_mask):
 
     removed = []
     if aux_n:
-        from .graphs import graph_from_edges
         aux = graph_from_edges(aux_n, aux_edges)
         for a, b in sorted(minimum_edge_cover(aux)):
             if a < len(d3) and b < len(d3):
@@ -370,8 +335,7 @@ def decycling_number(g):
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             s = mask_of(combo)
-            sub, _ = induced_subgraph(g, g.full_mask & ~s)
-            if is_acyclic(sub):
+            if is_acyclic(g, g.full_mask & ~s):
                 return size, s
     raise AssertionError("unreachable: removing all vertices decycles")
 
@@ -396,8 +360,7 @@ def find_partition_one_face(g):
         if not is_independent(g, s):
             continue
         r = g.full_mask & ~s
-        sub, _ = induced_subgraph(g, r)
-        if is_acyclic(sub) and is_connected(sub):
+        if is_acyclic(g, r) and len(components(g, r)) == 1:
             return DecyclingPartition(r, s, "independent", "tree")
     return None
 
@@ -416,10 +379,9 @@ def find_partition_two_face(g):
     for combo in itertools.combinations(range(g.n), k):
         s = mask_of(combo)
         r = g.full_mask & ~s
-        sub, _ = induced_subgraph(g, r)
-        if not is_acyclic(sub):
+        if not is_acyclic(g, r):
             continue
-        ncomp = len(connected_components(sub))
+        ncomp = len(components(g, r))
         if ncomp == 1 and is_near_independent(g, s):
             return DecyclingPartition(r, s, "near_independent", "tree")
         if ncomp == 2 and is_independent(g, s):
@@ -468,12 +430,7 @@ def _degree_alpha_set(g):
     delta = classify_degrees(g).max_degree
     a_mask = maximum_independent_set(g).witness
     blue = a_mask
-    h_mask = g.full_mask & ~a_mask
-    rem = h_mask
-    while rem:
-        v = next(bits(rem))
-        comp = _component_of(g, v, h_mask)
-        rem &= ~comp
+    for comp in components(g, g.full_mask & ~a_mask):
         size = comp.bit_count()
         degs = {u: (g.adj[u] & comp).bit_count() for u in bits(comp)}
         maxd = max(degs.values())

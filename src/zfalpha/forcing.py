@@ -26,15 +26,14 @@ class NotForcingSetError(GraphError):
 class SolverBudgetExceeded(RuntimeError):
     """An exact solver ran past its deadline."""
 
-    def __init__(self, solver, elapsed):
-        super().__init__(f"{solver} exceeded its time budget after {elapsed:.1f}s")
+    def __init__(self, solver):
+        super().__init__(f"{solver} exceeded its time budget")
         self.solver = solver
-        self.elapsed = elapsed
 
 
 def _check_deadline(deadline, solver):
     if deadline is not None and time.monotonic() > deadline:
-        raise SolverBudgetExceeded(solver, 0.0)
+        raise SolverBudgetExceeded(solver)
 
 
 def closure(g, blue):
@@ -90,20 +89,25 @@ def _chains_from_steps(initial, steps):
     return tuple(chains)
 
 
-def chronological_forces(g, blue):
-    """Canonical chronological record: lowest-index eligible forcer acts first."""
-    initial = blue
+def _force_steps(g, blue):
+    """Apply one force at a time, lowest-index eligible forcer first, until
+    none applies; returns the (forcer, forced) steps and the final blue set."""
     steps = []
     while True:
         for v in bits(blue):
             white = g.adj[v] & ~blue
             if white and white & (white - 1) == 0:
-                w = white.bit_length() - 1
-                steps.append((v, w))
+                steps.append((v, white.bit_length() - 1))
                 blue |= white
                 break
         else:
-            break
+            return steps, blue
+
+
+def chronological_forces(g, blue):
+    """Canonical chronological record: lowest-index eligible forcer acts first."""
+    initial = blue
+    steps, blue = _force_steps(g, blue)
     if blue != g.full_mask:
         raise NotForcingSetError(
             f"closure stalled with {blue.bit_count()} of {g.n} vertices blue")

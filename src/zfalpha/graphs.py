@@ -185,32 +185,44 @@ def write_graph6(g):
 # structural predicates
 
 
-def connected_components(g):
-    """Component masks, ordered by smallest member."""
-    seen = 0
+def components(g, within):
+    """Component masks of the subgraph induced by the vertex mask ``within``,
+    ordered by smallest member."""
     comps = []
-    for start in range(g.n):
-        if seen & (1 << start):
-            continue
-        comp = 1 << start
-        frontier = 1 << start
+    while within:
+        comp = frontier = within & -within
         while frontier:
             nxt = 0
             for v in bits(frontier):
                 nxt |= g.adj[v]
-            frontier = nxt & ~comp
+            frontier = nxt & within & ~comp
             comp |= frontier
         comps.append(comp)
-        seen |= comp
+        within &= ~comp
     return comps
+
+
+def induced_edge_count(g, members):
+    """Number of edges of the subgraph induced by the vertex mask ``members``."""
+    return sum((g.adj[v] & members).bit_count() for v in bits(members)) // 2
+
+
+def connected_components(g):
+    """Component masks, ordered by smallest member."""
+    return components(g, g.full_mask)
 
 
 def is_connected(g):
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def is_acyclic(g):
-    return g.edge_count() == g.n - len(connected_components(g))
+def is_acyclic(g, within=None):
+    """True iff the subgraph induced by ``within`` (default: all of g) is a
+    forest, i.e. has |within| minus its component count edges."""
+    if within is None:
+        within = g.full_mask
+    edges = induced_edge_count(g, within)
+    return edges == within.bit_count() - len(components(g, within))
 
 
 @dataclass(frozen=True)

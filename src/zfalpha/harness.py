@@ -17,7 +17,8 @@ from .bounds import (BoundReport, check_small_z_bounds, decycling_number,
                      degree_alpha_construction, find_partition_one_face,
                      find_partition_two_face, forcing_set_from_decycling,
                      path_complement_mis)
-from .forcing import SolverBudgetExceeded, closure, zero_forcing_number
+from .forcing import (SolverBudgetExceeded, _force_steps, closure,
+                      zero_forcing_number)
 from .graphs import (GraphError, bits, claw_centers, classify_degrees,
                      is_connected, parse_graph6, write_graph6)
 from .independence import maximum_independent_set
@@ -29,8 +30,6 @@ class RunConfig:
 
     budget_secs: float = 60.0
     workers: int = 1
-    check_embeddability: bool = True
-    check_constructions: bool = True
 
     def __post_init__(self):
         if self.budget_secs <= 0:
@@ -146,25 +145,23 @@ def verify_graph(g, cfg=None):
         else:
             bounds.append(BoundReport("z_le_alpha_plus_1", alpha + 1,
                                       z <= alpha + 1, 0))
-        if cfg.check_embeddability:
-            phi, _ = decycling_number(g)
-            upper = phi == (g.n + 2 + 3) // 4
-            part1 = find_partition_one_face(g)
-            part2 = find_partition_two_face(g)
-            one = part1 is not None
-            two = part2 is not None
-            if cfg.check_constructions:
-                if part1 is not None:
-                    rep = forcing_set_from_decycling(g, part1.s_mask)
-                    ok = rep.holds and rep.witness.bit_count() <= alpha + 1
-                    bounds.append(BoundReport("one_face_forcing", alpha + 1,
-                                              ok, rep.witness))
-                elif part2 is not None:
-                    rep = forcing_set_from_decycling(g, part2.s_mask)
-                    ok = rep.holds and rep.witness.bit_count() <= alpha + 2
-                    bounds.append(BoundReport("two_face_forcing", alpha + 2,
-                                              ok, rep.witness))
-        if cfg.check_constructions and not _is_k4(g):
+        phi, _ = decycling_number(g)
+        upper = phi == (g.n + 2 + 3) // 4
+        part1 = find_partition_one_face(g)
+        part2 = find_partition_two_face(g)
+        one = part1 is not None
+        two = part2 is not None
+        if part1 is not None:
+            rep = forcing_set_from_decycling(g, part1.s_mask)
+            ok = rep.holds and rep.witness.bit_count() <= alpha + 1
+            bounds.append(BoundReport("one_face_forcing", alpha + 1,
+                                      ok, rep.witness))
+        elif part2 is not None:
+            rep = forcing_set_from_decycling(g, part2.s_mask)
+            ok = rep.holds and rep.witness.bit_count() <= alpha + 2
+            bounds.append(BoundReport("two_face_forcing", alpha + 2,
+                                      ok, rep.witness))
+        if not _is_k4(g):
             a_mask = path_complement_mis(g)
             rep = forcing_set_from_decycling(g, g.full_mask & ~a_mask)
             value = 3 * alpha - g.n // 2
@@ -179,8 +176,7 @@ def verify_graph(g, cfg=None):
     if None not in (z, alpha):
         bounds.extend(check_small_z_bounds(g, z, alpha))
 
-    if (cfg.check_constructions and profile.max_degree >= 3
-            and not _is_k4(g) and g.n >= 2
+    if (profile.max_degree >= 3 and not _is_k4(g) and g.n >= 2
             and not all(g.degree(v) == g.n - 1 for v in range(g.n))
             and None not in (z, alpha)):
         bounds.append(degree_alpha_construction(g))
@@ -276,17 +272,7 @@ def trace_forcing(g, blue, dot=False):
     zero forcing set.  With ``dot=True`` returns DOT source instead: members
     of the initial set are filled, chain edges are directed."""
     initial = blue
-    steps = []
-    while True:
-        for v in bits(blue):
-            white = g.adj[v] & ~blue
-            if white and white & (white - 1) == 0:
-                w = white.bit_length() - 1
-                steps.append((v, w))
-                blue |= white
-                break
-        else:
-            break
+    steps, blue = _force_steps(g, blue)
     stalled = blue != g.full_mask
     if dot:
         chain = {(a, b) for a, b in steps}

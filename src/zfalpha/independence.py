@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forcing import _check_deadline
-from .graphs import bits
+from .graphs import bits, components, induced_edge_count
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,6 @@ def is_independent(g, members):
     return True
 
 
-def induced_edge_count(g, members):
-    return sum((g.adj[v] & members).bit_count() for v in bits(members)) // 2
-
-
 def is_near_independent(g, members):
     """True iff the set induces exactly one edge."""
     return induced_edge_count(g, members) == 1
@@ -39,19 +35,7 @@ def _solve_degree_le2(g, cand):
     deterministic endpoint (paths) or start vertex (cycles).
     """
     chosen = 0
-    remaining = cand
-    while remaining:
-        # peel one component
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & remaining
-            frontier = nxt & ~comp
-            comp |= frontier
-        remaining &= ~comp
+    for comp in components(g, cand):
         size = comp.bit_count()
         degs = {v: (g.adj[v] & comp).bit_count() for v in bits(comp)}
         endpoints = [v for v in bits(comp) if degs[v] <= 1]

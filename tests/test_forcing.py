@@ -162,5 +162,6 @@ def test_min_zfset_avoiding():
 
 def test_budget_exceeded():
     g = petersen_graph()
-    with pytest.raises(SolverBudgetExceeded):
+    with pytest.raises(SolverBudgetExceeded) as info:
         zero_forcing_number(g, deadline=time.monotonic() - 1)
+    assert "zero-forcing" in str(info.value) and "0.0s" not in str(info.value)

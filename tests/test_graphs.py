@@ -5,9 +5,9 @@ import pytest
 
 from zfalpha.graphs import (Graph, Graph6Error, GraphError, bits, bipartition,
                             claw_centers, classify_degrees, complete_bipartite,
-                            complete_graph, connected_components, cycle_graph,
-                            disjoint_union, graph_from_edges, induced_subgraph,
-                            is_acyclic, is_connected, mask_of,
+                            complete_graph, components, connected_components,
+                            cycle_graph, disjoint_union, graph_from_edges,
+                            induced_subgraph, is_acyclic, is_connected, mask_of,
                             maximum_matching_bipartite, minimum_edge_cover,
                             parse_graph6, path_graph, petersen_graph,
                             prism_graph, star_graph, write_graph6)
@@ -91,6 +91,14 @@ def test_acyclicity_matches_dfs_oracle():
         n = rng.randint(1, 12)
         g = random_edge_graph(graph_from_edges, n, rng.uniform(0, 0.3), rng)
         assert is_acyclic(g) == brute_is_acyclic(g)
+        # masked form: agrees with building G[m] and asking the oracle
+        for _ in range(5):
+            m = rng.getrandbits(n)
+            sub, keep = induced_subgraph(g, m)
+            assert is_acyclic(g, m) == brute_is_acyclic(sub)
+            expect = [mask_of(keep[i] for i in bits(c))
+                      for c in connected_components(sub)]
+            assert components(g, m) == expect
 
 
 def test_induced_subgraph():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -74,9 +75,7 @@ def test_certificate_graph6_reparses():
 
 def test_budget_exhaustion_recorded(tmp_path):
     big = enumerate_connected_cubic(12)[0]
-    cert = verify_graph(big, RunConfig(budget_secs=1e-6,
-                                       check_embeddability=False,
-                                       check_constructions=False))
+    cert = verify_graph(big, RunConfig(budget_secs=1e-6))
     assert "zero_forcing" in cert.incomplete
     assert cert.z is None
 
@@ -109,13 +108,22 @@ def test_verify_batch_deterministic(tmp_path):
 
 def test_verify_batch_workers_match_serial(tmp_path):
     graphs = enumerate_connected_cubic(8)
-    cfg = RunConfig(check_embeddability=False, check_constructions=False)
     a, b = tmp_path / "serial.jsonl", tmp_path / "pool.jsonl"
-    verify_batch(graphs, cfg, out_path=str(a))
-    verify_batch(graphs, RunConfig(workers=2, check_embeddability=False,
-                                   check_constructions=False),
-                 out_path=str(b))
+    verify_batch(graphs, RunConfig(), out_path=str(a))
+    verify_batch(graphs, RunConfig(workers=2), out_path=str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the certificate file for every connected cubic graph on 4..12
+# vertices; any change to a certificate, its witness or its order shows here
+SWEEP_DIGEST = "0f99801905324d04be3a653fdcec0a9a8cc54b4a4d5b484c60822bd0501c5b4f"
+
+
+def test_sweep_certificates_match_golden_digest(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    graphs = [g for n in range(4, 13, 2) for g in enumerate_connected_cubic(n)]
+    verify_batch(graphs, RunConfig(), out_path=str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST
 
 
 def test_workers_env_override(monkeypatch):
