@@ -15,7 +15,7 @@ from .graphs import (Graph, GraphError, bits, classify_degrees, components,
                      connected_components, graph_from_edges, induced_edge_count,
                      induced_subgraph, is_acyclic, is_connected, mask_of,
                      minimum_edge_cover)
-from .independence import is_independent, is_near_independent, maximum_independent_set
+from .independence import is_independent, maximum_independent_set
 
 
 @dataclass(frozen=True)
@@ -328,16 +328,34 @@ def forcing_set_from_decycling(g, s_mask):
 # decycling number, embeddability, and decycling partitions
 
 
+def _first_decycling_set(g, size):
+    """First S with ``size`` members, in ``combinations`` order, such that
+    g - S is a forest; None if there is none.
+
+    Counting identity: on connected cubic g with |S| = k, g - S has
+    3n/2 - 3k + e(S) edges, and as a forest with c components n - k - c, so
+    e(S) + c = 2k - n/2.  At k = (n+2)/4 every hit is independent with a
+    tree complement; at k = (n+4)/4 every hit meets one two-face clause.
+    """
+    for combo in itertools.combinations(range(g.n), size):
+        s = mask_of(combo)
+        if is_acyclic(g, g.full_mask & ~s):
+            return s
+    return None
+
+
 def decycling_number(g):
-    """Minimum decycling (feedback vertex) set by ascending-size subset search."""
+    """Minimum decycling (feedback vertex) set by ascending-size subset search,
+    from ceil((m - n + 1) / (max_degree - 1)) up: removing phi vertices deletes
+    at most max_degree * phi edges and leaves a forest on n - phi vertices."""
     if is_acyclic(g):
         return 0, 0
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            s = mask_of(combo)
-            if is_acyclic(g, g.full_mask & ~s):
-                return size, s
-    raise AssertionError("unreachable: removing all vertices decycles")
+    slack = classify_degrees(g).max_degree - 1
+    for size in range(max(1, -(-(g.edge_count() - g.n + 1) // slack)), g.n):
+        s = _first_decycling_set(g, size)
+        if s is not None:
+            return size, s
+    raise AssertionError("unreachable: one remaining vertex is a forest")
 
 
 def _require_connected_cubic(g, op):
@@ -346,61 +364,53 @@ def _require_connected_cubic(g, op):
 
 
 def find_partition_one_face(g):
-    """Partition with S independent and g[R] a tree, or None (exhaustive).
+    """Partition with S independent and g[R] a tree, or None.
 
-    For cubic g the counting identity forces |S| = (n+2)/4, so only subsets
-    of that size are examined.
+    Only |S| = (n+2)/4 can qualify, and there every decycling set does.
     """
     _require_connected_cubic(g, "find_partition_one_face")
     if (g.n + 2) % 4 != 0:
         return None
-    k = (g.n + 2) // 4
-    for combo in itertools.combinations(range(g.n), k):
-        s = mask_of(combo)
-        if not is_independent(g, s):
-            continue
-        r = g.full_mask & ~s
-        if is_acyclic(g, r) and len(components(g, r)) == 1:
-            return DecyclingPartition(r, s, "independent", "tree")
-    return None
+    s = _first_decycling_set(g, (g.n + 2) // 4)
+    if s is None:
+        return None
+    return DecyclingPartition(g.full_mask & ~s, s, "independent", "tree")
 
 
 def find_partition_two_face(g):
-    """Partition matching either two-face clause, or None (exhaustive).
+    """Partition matching either two-face clause, or None.
 
     Clause 1: g[R] a tree and S near independent.
     Clause 2: g[R] a two-component forest and S independent.
-    Both clauses force |S| = (n+4)/4 on cubic input.
+    Only |S| = (n+4)/4 can qualify, and there every decycling set meets one.
     """
     _require_connected_cubic(g, "find_partition_two_face")
     if g.n % 4 != 0:
         return None
-    k = (g.n + 4) // 4
-    for combo in itertools.combinations(range(g.n), k):
-        s = mask_of(combo)
-        r = g.full_mask & ~s
-        if not is_acyclic(g, r):
-            continue
-        ncomp = len(components(g, r))
-        if ncomp == 1 and is_near_independent(g, s):
-            return DecyclingPartition(r, s, "near_independent", "tree")
-        if ncomp == 2 and is_independent(g, s):
-            return DecyclingPartition(r, s, "independent", "forest_2_components")
-    return None
+    s = _first_decycling_set(g, (g.n + 4) // 4)
+    if s is None:
+        return None
+    if is_independent(g, s):
+        return DecyclingPartition(g.full_mask & ~s, s, "independent",
+                                  "forest_2_components")
+    return DecyclingPartition(g.full_mask & ~s, s, "near_independent", "tree")
 
 
 def embeddability_report(g):
     """Decycling number, maximum genus, and face-embeddability classification."""
     _require_connected_cubic(g, "embeddability_report")
-    phi, witness = decycling_number(g)
-    ceiling = (g.n + 2 + 3) // 4
+    part1 = find_partition_one_face(g)
+    part2 = find_partition_two_face(g)
+    part = part1 or part2
+    phi, witness = ((part.s_mask.bit_count(), part.s_mask) if part
+                    else decycling_number(g))
     return EmbeddabilityReport(
         phi=phi,
         phi_witness=witness,
         max_genus=g.n // 2 + 1 - phi,
-        upper_embeddable=phi == ceiling,
-        one_face=find_partition_one_face(g) is not None,
-        two_face=find_partition_two_face(g) is not None,
+        upper_embeddable=part is not None,
+        one_face=part1 is not None,
+        two_face=part2 is not None,
     )
 
 

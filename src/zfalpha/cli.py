@@ -156,7 +156,7 @@ def build_parser():
     p.add_argument("--budget-secs", type=float, default=60.0,
                    help="per-solver time budget (default 60)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (ZFW_WORKERS overrides)")
+                   help="worker processes")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("construct", help="build gadget graphs and families")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, GraphError, bits, is_connected
+from .graphs import Graph, GraphError, is_connected
 
 
 def _columns(adj, k):

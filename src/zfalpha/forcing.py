@@ -210,17 +210,6 @@ def _seed_forts(g):
     return forts
 
 
-def _popcount64(arr):
-    if hasattr(_np, "bitwise_count"):
-        return _np.bitwise_count(arr)
-    x = arr.copy()
-    x = x - ((x >> _np.uint64(1)) & _np.uint64(0x5555555555555555))
-    x = (x & _np.uint64(0x3333333333333333)) + (
-        (x >> _np.uint64(2)) & _np.uint64(0x3333333333333333))
-    x = (x + (x >> _np.uint64(4))) & _np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * _np.uint64(0x0101010101010101)) >> _np.uint64(56)
-
-
 def _solve_exact(g, forbidden=0, deadline=None):
     """Minimum zero forcing set avoiding ``forbidden``; returns (witness, forts).
 
@@ -263,7 +252,7 @@ def _solve_exact(g, forbidden=0, deadline=None):
             if not cand.all():
                 seen[chosen] = g.n
                 return None
-            branch = int(cand[int(_popcount64(cand).argmin())])
+            branch = int(cand[int(_np.bitwise_count(cand).argmin())])
             # greedy disjoint-fort packing, early exit once it exceeds budget
             packing_used = 0
             packing = 0

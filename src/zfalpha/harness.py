@@ -8,10 +8,9 @@ timings so that identical inputs produce byte-identical certificate files.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bounds import (BoundReport, check_small_z_bounds, decycling_number,
                      degree_alpha_construction, find_partition_one_face,
@@ -26,7 +25,7 @@ from .independence import maximum_independent_set
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for a verification run; exactly one input mode per run."""
+    """Knobs for a verification run: per-solver time budget and worker count."""
 
     budget_secs: float = 60.0
     workers: int = 1
@@ -36,10 +35,6 @@ class RunConfig:
             raise ValueError("budget_secs must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-    def effective_workers(self):
-        env = os.environ.get("ZFW_WORKERS")
-        return int(env) if env else self.workers
 
 
 @dataclass(frozen=True)
@@ -145,12 +140,15 @@ def verify_graph(g, cfg=None):
         else:
             bounds.append(BoundReport("z_le_alpha_plus_1", alpha + 1,
                                       z <= alpha + 1, 0))
-        phi, _ = decycling_number(g)
-        upper = phi == (g.n + 2 + 3) // 4
+        # phi is at least ceil((n+2)/4), and a partition exists exactly when
+        # a decycling set of that size does, so phi is read off it
         part1 = find_partition_one_face(g)
         part2 = find_partition_two_face(g)
         one = part1 is not None
         two = part2 is not None
+        upper = one or two
+        phi = ((part1 or part2).s_mask.bit_count() if upper
+               else decycling_number(g)[0])
         if part1 is not None:
             rep = forcing_set_from_decycling(g, part1.s_mask)
             ok = rep.holds and rep.witness.bit_count() <= alpha + 1
@@ -176,7 +174,7 @@ def verify_graph(g, cfg=None):
     if None not in (z, alpha):
         bounds.extend(check_small_z_bounds(g, z, alpha))
 
-    if (profile.max_degree >= 3 and not _is_k4(g) and g.n >= 2
+    if (profile.max_degree >= 3
             and not all(g.degree(v) == g.n - 1 for v in range(g.n))
             and None not in (z, alpha)):
         bounds.append(degree_alpha_construction(g))
@@ -216,10 +214,9 @@ def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
     """
     cfg = cfg or RunConfig()
     graphs = list(graphs)
-    workers = cfg.effective_workers()
-    if workers > 1 and len(graphs) > 1:
+    if cfg.workers > 1 and len(graphs) > 1:
         jobs = [(write_graph6(g).decode("ascii"), cfg) for g in graphs]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             certs = list(pool.map(_verify_worker, jobs))
     else:
         certs = [verify_graph(g, cfg) for g in graphs]

@@ -10,11 +10,13 @@ from zfalpha.bounds import (check_small_z_bounds, check_three_alpha_bound,
 from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.forcing import is_zero_forcing_set, zero_forcing_number
 from zfalpha.graphs import (GraphError, bits, classify_degrees,
-                            complete_bipartite, complete_graph, cycle_graph,
+                            complete_bipartite, complete_graph,
+                            connected_components, cycle_graph, disjoint_union,
                             graph_from_edges, induced_subgraph, is_acyclic,
-                            is_connected, path_graph, petersen_graph,
+                            parse_graph6, path_graph, petersen_graph,
                             prism_graph, star_graph)
-from zfalpha.independence import is_independent, maximum_independent_set
+from zfalpha.independence import (is_independent, is_near_independent,
+                                  maximum_independent_set)
 
 from oracles import (brute_decycling, random_connected_bounded_degree_edges,
                      random_forest_edges)
@@ -115,8 +117,13 @@ def test_forcing_set_from_decycling_rejects_cyclic_remainder():
 
 def test_decycling_matches_oracle():
     rng = random.Random(77)
+    # disjoint unions and the one cubic graph with n <= 12 that is not upper
+    # embeddable (phi = 4 > 3) start the search below phi
     graphs = [complete_graph(4), petersen_graph(), prism_graph(),
-              cycle_graph(6), path_graph(5)]
+              cycle_graph(6), path_graph(5),
+              disjoint_union(complete_graph(4), complete_graph(4)),
+              disjoint_union(petersen_graph(), cycle_graph(5)),
+              parse_graph6("I}KGGGB?w")]
     for _ in range(40):
         n = rng.randint(1, 9)
         edges = random_connected_bounded_degree_edges(n, 4, rng.randint(0, 4),
@@ -142,21 +149,37 @@ def test_embeddability_known_graphs():
 
 
 def test_partition_structure():
-    for n in (6, 8, 10):
+    # the finders label the first decycling set of their size without
+    # re-checking it; re-derive every label here
+    for n in range(4, 13, 2):
         for g in enumerate_connected_cubic(n):
+            phi, witness = decycling_number(g)
             p1 = find_partition_one_face(g)
-            if p1 is not None:
-                assert p1.s_mask | p1.r_mask == g.full_mask
-                assert p1.s_mask & p1.r_mask == 0
-                assert is_independent(g, p1.s_mask)
-                rest, _ = induced_subgraph(g, p1.r_mask)
-                assert is_acyclic(rest) and is_connected(rest)
-                assert p1.s_mask.bit_count() == (g.n + 2) // 4
             p2 = find_partition_two_face(g)
-            if p2 is not None:
-                rest, _ = induced_subgraph(g, p2.r_mask)
-                assert is_acyclic(rest)
-                assert p2.s_mask.bit_count() == (g.n + 4) // 4
+            assert p1 is None or p2 is None
+            part = p1 or p2
+            assert (part is not None) == (phi == (n + 5) // 4)
+            if part is None:
+                continue
+            assert part.s_mask == witness
+            assert part.s_mask | part.r_mask == g.full_mask
+            assert part.s_mask & part.r_mask == 0
+            s_class = ("independent" if is_independent(g, part.s_mask) else
+                       "near_independent"
+                       if is_near_independent(g, part.s_mask) else "other")
+            rest, _ = induced_subgraph(g, part.r_mask)
+            assert is_acyclic(rest)
+            r_class = {1: "tree", 2: "forest_2_components"}.get(
+                len(connected_components(rest)), "other")
+            assert (part.s_class, part.r_class) == (s_class, r_class)
+            if p1 is not None:
+                assert (s_class, r_class) == ("independent", "tree")
+                assert p1.s_mask.bit_count() == (n + 2) // 4
+            else:
+                assert (s_class, r_class) in {
+                    ("near_independent", "tree"),
+                    ("independent", "forest_2_components")}
+                assert p2.s_mask.bit_count() == (n + 4) // 4
 
 
 # ---------------------------------------------------------------------------

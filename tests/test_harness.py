@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -124,13 +123,6 @@ def test_sweep_certificates_match_golden_digest(tmp_path):
     graphs = [g for n in range(4, 13, 2) for g in enumerate_connected_cubic(n)]
     verify_batch(graphs, RunConfig(), out_path=str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST
-
-
-def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv("ZFW_WORKERS", "3")
-    assert RunConfig(workers=1).effective_workers() == 3
-    monkeypatch.delenv("ZFW_WORKERS")
-    assert RunConfig(workers=2).effective_workers() == 2
 
 
 def test_trace_examples():
