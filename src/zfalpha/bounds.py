@@ -107,18 +107,21 @@ def _forbid_k4_components(g):
             raise GraphError("a component isomorphic to K4 is not allowed")
 
 
-def path_complement_mis(g):
+def path_complement_mis(g, mis=None):
     """A maximum independent set A such that every component of g-A is a path.
 
-    Starts from an exact maximum independent set and repeatedly applies the
-    alternating-path swaps, each of which strictly reduces the number of
-    cycles in the complement.
+    Starts from an exact maximum independent set (``mis``, g's
+    ``IndependenceCertificate``, computed when not given) and repeatedly
+    applies the alternating-path swaps, each of which strictly reduces the
+    number of cycles in the complement.
     """
     profile = classify_degrees(g)
     if not profile.is_cubic:
         raise GraphError("path_complement_mis requires a cubic graph")
     _forbid_k4_components(g)
-    a_mask = maximum_independent_set(g).witness
+    if mis is None:
+        mis = maximum_independent_set(g)
+    a_mask = mis.witness
     while True:
         h_mask = g.full_mask & ~a_mask
         cycles = _cycle_components(g, h_mask)
@@ -261,13 +264,14 @@ def _endpoints_forcing(g, base_blue, paths):
     return search(0, base_blue)
 
 
-def forcing_set_from_decycling(g, s_mask):
+def forcing_set_from_decycling(g, s_mask, mis=None):
     """Explicit zero forcing set of size <= alpha + beta(G[S]) + c.
 
     Requires g cubic and g-S acyclic with c components.  Builds the witness
     through an edge cover of the degree-3 vertices of the forest F = g-S,
     deletes those edges to leave a path cover of F, and takes S plus one
-    endpoint per path.
+    endpoint per path.  alpha comes from ``mis``, g's
+    ``IndependenceCertificate``, computed when not given.
     """
     if not classify_degrees(g).is_cubic:
         raise GraphError("forcing_set_from_decycling requires a cubic graph")
@@ -318,8 +322,9 @@ def forcing_set_from_decycling(g, s_mask):
 
     sub_s, _ = induced_subgraph(g, s_mask)
     beta_s = sub_s.n - maximum_independent_set(sub_s).alpha if sub_s.n else 0
-    alpha = maximum_independent_set(g).alpha
-    value = alpha + beta_s + c
+    if mis is None:
+        mis = maximum_independent_set(g)
+    value = mis.alpha + beta_s + c
     holds = is_zero_forcing_set(g, witness) and witness.bit_count() <= value
     return BoundReport("decycling_forcing", value, holds, witness)
 
@@ -420,9 +425,10 @@ def embeddability_report(g):
 
 def check_three_alpha_bound(g):
     """Z <= 3*alpha - n/2 for cubic graphs without K4 components."""
-    a_mask = path_complement_mis(g)
+    mis = maximum_independent_set(g)
+    a_mask = path_complement_mis(g, mis)
     s_mask = g.full_mask & ~a_mask
-    construction = forcing_set_from_decycling(g, s_mask)
+    construction = forcing_set_from_decycling(g, s_mask, mis)
     alpha = a_mask.bit_count()
     value = 3 * alpha - g.n // 2
     z, _ = zero_forcing_number(g)
@@ -435,10 +441,12 @@ def _is_complete_mask(g, comp):
     return all((g.adj[v] & comp).bit_count() == size - 1 for v in bits(comp))
 
 
-def _degree_alpha_set(g):
-    """Recursive zero-forcing-set construction of size <= (max_degree - 1) * alpha."""
+def _degree_alpha_set(g, a_mask=None):
+    """Recursive zero-forcing-set construction of size <= (max_degree - 1) * alpha,
+    grown from the maximum independent set ``a_mask`` (computed when not given)."""
     delta = classify_degrees(g).max_degree
-    a_mask = maximum_independent_set(g).witness
+    if a_mask is None:
+        a_mask = maximum_independent_set(g).witness
     blue = a_mask
     for comp in components(g, g.full_mask & ~a_mask):
         size = comp.bit_count()
@@ -489,8 +497,10 @@ def _degree_alpha_set(g):
     return blue
 
 
-def degree_alpha_construction(g):
-    """Explicit zero forcing set witnessing Z <= (max_degree - 1) * alpha."""
+def degree_alpha_construction(g, mis=None):
+    """Explicit zero forcing set witnessing Z <= (max_degree - 1) * alpha.
+
+    ``mis`` is g's ``IndependenceCertificate``, computed when not given."""
     delta = classify_degrees(g).max_degree
     if delta < 3:
         raise GraphError("requires maximum degree at least 3")
@@ -498,9 +508,10 @@ def degree_alpha_construction(g):
         raise GraphError("requires a connected graph")
     if _is_complete_mask(g, g.full_mask):
         raise GraphError("requires a non-complete graph")
-    witness = _degree_alpha_set(g)
-    alpha = maximum_independent_set(g).alpha
-    value = (delta - 1) * alpha
+    if mis is None:
+        mis = maximum_independent_set(g)
+    witness = _degree_alpha_set(g, mis.witness)
+    value = (delta - 1) * mis.alpha
     holds = is_zero_forcing_set(g, witness) and witness.bit_count() <= value
     return BoundReport("degree_alpha", value, holds, witness)
 

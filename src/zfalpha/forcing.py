@@ -14,8 +14,6 @@ import itertools
 import time
 from dataclasses import dataclass
 
-import numpy as _np
-
 from .graphs import GraphError, bits
 
 
@@ -130,14 +128,33 @@ def is_fort(g, members):
     return True
 
 
+def _is_fort_without(g, fort, v):
+    """True iff ``fort`` minus ``v`` is a fort, given that ``fort`` is one.
+
+    Removing v changes the inside count only of v and of its neighbours, so
+    only those outside vertices can newly see exactly one inside neighbour.
+    """
+    adj = g.adj
+    candidate = fort & ~(1 << v)
+    check = (adj[v] & ~fort) | (1 << v)
+    while check:  # bits(check) inlined: this runs for every vertex tried
+        low = check & -check
+        inside = adj[low.bit_length() - 1] & candidate
+        if inside and inside & (inside - 1) == 0:
+            return False
+        check ^= low
+    return True
+
+
 def _shrink_fort(g, members):
-    """Greedy element removal while the set remains a fort."""
+    """Greedy element removal while the set remains a fort; ``members``
+    must be a fort."""
     shrunk = True
     while shrunk:
         shrunk = False
         for v in bits(members):
             candidate = members & ~(1 << v)
-            if candidate and is_fort(g, candidate):
+            if candidate and _is_fort_without(g, members, v):
                 members = candidate
                 shrunk = True
     return members
@@ -216,47 +233,50 @@ def _solve_exact(g, forbidden=0, deadline=None):
     Iterative-deepening search over vertex sets.  Each node branches on an
     unhit fort; when every known fort is hit but the closure stalls, the
     stalled white set yields a new fort and the search continues against it.
-    Infeasible (set, budget) states are memoized across depths.  The fort
-    collection is kept as a numpy array (sorted by fort size) so the per-node
-    unhit filter runs vectorized.
+    Infeasible (set, budget) states are memoized across depths.  The greedy
+    upper-bound witness avoids ``forbidden`` and forces, so it hits every
+    fort: no fort lies inside ``forbidden`` and no branch set is empty.
+
+    ``forts`` is kept in generation order (the seeds sorted by size, then
+    value).  A node sees its unhit forts ordered by size, ties in generation
+    order; it builds that list from its parent's, filtered by the one vertex
+    added, plus the forts generated since the parent's list was built.
     """
     if g.n == 0:
         return 0, []
     full = g.full_mask
+    allowed = full & ~forbidden
     ub_witness = _greedy_forcing_set(g, forbidden)
     forts = _seed_forts(g)
     if not forts:
         forts = [_shrink_fort(g, full)]
     forts.sort(key=lambda f: (f.bit_count(), f))
-    fort_arr = [_np.array(forts, dtype=_np.uint64)]
-    allowed = _np.uint64(full & ~forbidden)
     seen = {}
 
-    def add_fort(f):
-        forts.append(f)
-        size = f.bit_count()
-        pos = 0
-        while pos < len(fort_arr[0]) and int(fort_arr[0][pos]).bit_count() <= size:
-            pos += 1
-        fort_arr[0] = _np.insert(fort_arr[0], pos, _np.uint64(f))
-
-    def dfs(chosen, budget):
+    def dfs(chosen, budget, unhit, known):
+        # unhit: the forts among the first ``known`` that the parent's set
+        # misses, in the order the parent saw them
         _check_deadline(deadline, "zero-forcing")
         if seen.get(chosen, -1) >= budget:
             return None
-        arr = fort_arr[0]
-        unhit = arr[(arr & _np.uint64(chosen)) == 0]
-        branch = None
-        if unhit.size:
-            cand = unhit & allowed
-            if not cand.all():
-                seen[chosen] = g.n
-                return None
-            branch = int(cand[int(_np.bitwise_count(cand).argmin())])
+        unhit = [f for f in unhit if not f & chosen]
+        if known < len(forts):
+            # newer forts go after the older ones of their size (stable sort)
+            unhit += [f for f in forts[known:] if not f & chosen]
+            unhit.sort(key=int.bit_count)
+        known = len(forts)
+        if unhit:
+            # branch on the first unhit fort with the fewest allowed vertices;
+            # without forbidden vertices that is the first
+            if forbidden:
+                branch = min(unhit, key=lambda f: (f & allowed).bit_count())
+                branch &= allowed
+            else:
+                branch = unhit[0]
             # greedy disjoint-fort packing, early exit once it exceeds budget
             packing_used = 0
             packing = 0
-            for f in unhit.tolist():
+            for f in unhit:
                 if not f & packing_used:
                     packing_used |= f
                     packing += 1
@@ -268,16 +288,13 @@ def _solve_exact(g, forbidden=0, deadline=None):
             if closed == full:
                 return chosen
             new_fort = _shrink_fort(g, full & ~closed)
-            add_fort(new_fort)
-            branch = new_fort & ~forbidden
-            if branch == 0:
-                seen[chosen] = g.n
-                return None
+            forts.append(new_fort)
+            branch = new_fort & allowed
         if budget == 0:
             seen[chosen] = 0
             return None
         for v in bits(branch):
-            result = dfs(chosen | (1 << v), budget - 1)
+            result = dfs(chosen | (1 << v), budget - 1, unhit, known)
             if result is not None:
                 return result
         seen[chosen] = budget
@@ -289,11 +306,16 @@ def _solve_exact(g, forbidden=0, deadline=None):
         if not f & packing_used:
             packing_used |= f
             lower += 1
-    for size in range(max(lower, 1), ub_witness.bit_count()):
-        found = dfs(0, size)
-        if found is not None:
-            return found, forts
-    return ub_witness, forts
+    try:
+        for size in range(max(lower, 1), ub_witness.bit_count()):
+            found = dfs(0, size, [], 0)
+            if found is not None:
+                return found, forts
+        return ub_witness, forts
+    finally:
+        # dfs refers to itself, so without this the cycle would hold ``seen``
+        # until the next full garbage collection
+        del dfs
 
 
 def zero_forcing_number(g, deadline=None):

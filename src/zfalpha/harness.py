@@ -150,18 +150,19 @@ def verify_graph(g, cfg=None):
         phi = ((part1 or part2).s_mask.bit_count() if upper
                else decycling_number(g)[0])
         if part1 is not None:
-            rep = forcing_set_from_decycling(g, part1.s_mask)
+            rep = forcing_set_from_decycling(g, part1.s_mask, alpha_result)
             ok = rep.holds and rep.witness.bit_count() <= alpha + 1
             bounds.append(BoundReport("one_face_forcing", alpha + 1,
                                       ok, rep.witness))
         elif part2 is not None:
-            rep = forcing_set_from_decycling(g, part2.s_mask)
+            rep = forcing_set_from_decycling(g, part2.s_mask, alpha_result)
             ok = rep.holds and rep.witness.bit_count() <= alpha + 2
             bounds.append(BoundReport("two_face_forcing", alpha + 2,
                                       ok, rep.witness))
         if not _is_k4(g):
-            a_mask = path_complement_mis(g)
-            rep = forcing_set_from_decycling(g, g.full_mask & ~a_mask)
+            a_mask = path_complement_mis(g, alpha_result)
+            rep = forcing_set_from_decycling(g, g.full_mask & ~a_mask,
+                                             alpha_result)
             value = 3 * alpha - g.n // 2
             ok = rep.holds and z <= value
             bounds.append(BoundReport("three_alpha_minus_half_n", value, ok,
@@ -177,7 +178,7 @@ def verify_graph(g, cfg=None):
     if (profile.max_degree >= 3
             and not all(g.degree(v) == g.n - 1 for v in range(g.n))
             and None not in (z, alpha)):
-        bounds.append(degree_alpha_construction(g))
+        bounds.append(degree_alpha_construction(g, alpha_result))
 
     return Certificate(
         graph6=write_graph6(g).decode("ascii"), n=g.n, z=z, alpha=alpha, phi=phi,

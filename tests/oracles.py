@@ -158,6 +158,33 @@ def random_forest_edges(n, rng, keep=0.8):
     return [(rng.randrange(v), v) for v in range(1, n) if rng.random() < keep]
 
 
+def random_cubic_edges(n, rng):
+    """Edge list of a random connected cubic graph, by the pairing model:
+    match 3n points at random, rejecting loops, multi-edges and disconnected
+    results."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = set()
+        for a, b in zip(points[::2], points[1::2]):
+            if a == b or (min(a, b), max(a, b)) in edges:
+                break
+            edges.add((min(a, b), max(a, b)))
+        else:
+            reached = {0}
+            stack = [0]
+            while stack:
+                v = stack.pop()
+                for e in edges:
+                    if v in e:
+                        u = e[0] + e[1] - v
+                        if u not in reached:
+                            reached.add(u)
+                            stack.append(u)
+            if len(reached) == n:
+                return sorted(edges)
+
+
 def random_connected_bounded_degree_edges(n, max_degree, extra, rng):
     """A random tree plus up to ``extra`` additional edges, all degrees capped."""
     deg = [0] * n

@@ -1,20 +1,24 @@
+import hashlib
 import random
 import time
 
 import pytest
 
 from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
-                             SolverBudgetExceeded, chronological_forces,
-                             closure, enumerate_minimal_forts, is_fort,
+                             SolverBudgetExceeded, _is_fort_without,
+                             _shrink_fort, _solve_exact,
+                             chronological_forces, closure,
+                             enumerate_minimal_forts, is_fort,
                              is_zero_forcing_set, min_zfset_avoiding,
                              zero_forcing_number)
-from zfalpha.graphs import (bits, complete_bipartite, complete_graph,
-                            cycle_graph, disjoint_union, graph_from_edges,
-                            path_graph, petersen_graph, prism_graph,
-                            star_graph)
+from zfalpha.gadgets import build_tight_graph, generate_31_trees
+from zfalpha.graphs import (GraphError, bits, complete_bipartite,
+                            complete_graph, cycle_graph, disjoint_union,
+                            graph_from_edges, path_graph, petersen_graph,
+                            prism_graph, star_graph)
 
-from oracles import (brute_closure, brute_zero_forcing, random_edge_graph,
-                     random_forest_edges)
+from oracles import (brute_closure, brute_zero_forcing, random_cubic_edges,
+                     random_edge_graph, random_forest_edges)
 
 
 def test_closure_matches_set_oracle():
@@ -92,6 +96,50 @@ def test_forts():
         is_fort(c4, 0)
 
 
+def _random_forts(rng, count):
+    """(graph, fort) pairs: the full vertex set, where fort shrinking starts
+    when no small fort is known, and stalled white sets of random blue sets."""
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        g = random_edge_graph(graph_from_edges, n, rng.random(), rng)
+        yield g, g.full_mask
+        white = g.full_mask & ~closure(g, rng.getrandbits(n) & rng.getrandbits(n))
+        if white:
+            yield g, white
+
+
+def test_local_fort_check_matches_is_fort():
+    rng = random.Random(41)
+    checked = 0
+    for g, fort in _random_forts(rng, 300):
+        assert is_fort(g, fort)
+        for v in bits(fort):
+            smaller = fort & ~(1 << v)
+            if smaller:
+                assert _is_fort_without(g, fort, v) == is_fort(g, smaller)
+                checked += 1
+    assert checked > 1000
+
+
+def test_shrink_fort_matches_greedy_is_fort_removal():
+    def shrink_by_is_fort(g, members):
+        shrunk = True
+        while shrunk:
+            shrunk = False
+            for v in bits(members):
+                candidate = members & ~(1 << v)
+                if candidate and is_fort(g, candidate):
+                    members = candidate
+                    shrunk = True
+        return members
+
+    rng = random.Random(43)
+    for g, fort in _random_forts(rng, 200):
+        shrunk = _shrink_fort(g, fort)
+        assert shrunk == shrink_by_is_fort(g, fort)
+        assert shrunk & ~fort == 0 and is_fort(g, shrunk)
+
+
 def test_every_zfset_hits_every_fort():
     rng = random.Random(23)
     for _ in range(50):
@@ -165,3 +213,42 @@ def test_budget_exceeded():
     with pytest.raises(SolverBudgetExceeded) as info:
         zero_forcing_number(g, deadline=time.monotonic() - 1)
     assert "zero-forcing" in str(info.value) and "0.0s" not in str(info.value)
+
+
+# SHA-256 of repr(_solve_exact(...)) -- witness and every fort, in order --
+# over the inputs of test_exact_search_matches_golden_digest.  It pins the
+# search itself: a change to the fort order, the branching or the fort
+# shrinking shows here even where Z and the certificates stay the same.
+SEARCH_DIGEST = "6d2ae22044bf3f926e83d0e968e06619654efe6f92848d5f338b03af536d6f86"
+
+
+def _relabeled(g, rng):
+    perm = rng.sample(range(g.n), g.n)
+    return graph_from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def test_exact_search_matches_golden_digest():
+    rng = random.Random(47)
+    cases = []
+    for n in (4, 6, 8):
+        for t in generate_31_trees(n):
+            g = build_tight_graph(t).result
+            cases.append((g, 0))
+            if n < 8:
+                cases += [(_relabeled(g, rng), 0) for _ in range(3)]
+    for n in (18, 20):
+        for _ in range(5):
+            g = graph_from_edges(n, random_cubic_edges(n, rng))
+            cases += [(g, 0), (g, 1 << rng.randrange(n))]
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        g = random_edge_graph(graph_from_edges, n, rng.random(), rng)
+        cases += [(g, 0), (g, rng.getrandbits(n) & rng.getrandbits(n))]
+    h = hashlib.sha256()
+    for g, forbidden in cases:
+        try:
+            result = repr(_solve_exact(g, forbidden))
+        except GraphError:  # no forcing set avoids ``forbidden``
+            result = "GraphError"
+        h.update(result.encode() + b"\n")
+    assert h.hexdigest() == SEARCH_DIGEST

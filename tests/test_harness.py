@@ -72,6 +72,23 @@ def test_certificate_graph6_reparses():
     assert (again.z, again.alpha, again.phi) == (cert.z, cert.alpha, cert.phi)
 
 
+def test_alpha_solved_once_per_certificate(monkeypatch):
+    from zfalpha import bounds, harness, independence
+    sizes = []
+
+    def counted(g, *args):
+        sizes.append(g.n)
+        return independence.maximum_independent_set(g, *args)
+
+    monkeypatch.setattr(harness, "maximum_independent_set", counted)
+    monkeypatch.setattr(bounds, "maximum_independent_set", counted)
+    g = petersen_graph()
+    cert = verify_graph(g)
+    assert cert.one_face and not cert.violations
+    # alpha on g once; beta on G[S] for the partition and the path complement
+    assert sizes.count(g.n) == 1 and len(sizes) == 3
+
+
 def test_budget_exhaustion_recorded(tmp_path):
     big = enumerate_connected_cubic(12)[0]
     cert = verify_graph(big, RunConfig(budget_secs=1e-6))
