@@ -26,10 +26,10 @@ from .graphs import (DegreeProfile, Graph, Graph6Error, GraphError, bits,
                      claw_centers, classify_degrees, complete_bipartite,
                      complete_graph, components, connected_components,
                      cycle_graph, disjoint_union, graph_from_edges,
-                     induced_subgraph,
-                     is_acyclic, is_connected, mask_of, maximum_matching_bipartite,
-                     minimum_edge_cover, parse_graph6, path_graph,
-                     petersen_graph, prism_graph, star_graph, write_graph6)
+                     induced_subgraph, is_acyclic, is_complete, is_connected,
+                     mask_of, maximum_matching_bipartite, minimum_edge_cover,
+                     parse_graph6, path_graph, path_order, petersen_graph,
+                     prism_graph, star_graph, write_graph6)
 from .harness import (BatchSummary, Certificate, RunConfig, trace_forcing,
                       verify_batch, verify_graph)
 from .independence import (IndependenceCertificate, induced_edge_count,

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .forcing import closure, is_zero_forcing_set, zero_forcing_number
 from .graphs import (Graph, GraphError, bits, classify_degrees, components,
-                     connected_components, graph_from_edges, induced_edge_count,
-                     induced_subgraph, is_acyclic, is_connected, mask_of,
-                     minimum_edge_cover)
+                     connected_components, induced_edge_count, induced_subgraph,
+                     is_acyclic, is_complete, is_connected, mask_of,
+                     minimum_edge_cover, path_order)
 from .independence import is_independent, maximum_independent_set
 
 
@@ -102,8 +102,7 @@ def _cycle_components(g, h_mask):
 
 def _forbid_k4_components(g):
     for comp in connected_components(g):
-        if comp.bit_count() == 4 and all(
-                (g.adj[v] & comp).bit_count() == 3 for v in bits(comp)):
+        if comp.bit_count() == 4 and is_complete(g, comp):
             raise GraphError("a component isomorphic to K4 is not allowed")
 
 
@@ -213,35 +212,17 @@ def _swap_once(g, a_mask, h_mask, cycle_comps):
 
 
 def _path_components_after_removal(g, f_mask, removed_edges):
-    """Components of the forest on f_mask after deleting removed_edges.
-
-    Returns each component as an ordered vertex path; raises if any component
-    is not a path.
-    """
+    """Components of the forest on f_mask after deleting removed_edges, each
+    as its ``path_order`` walk; raises if a vertex keeps three neighbours."""
     adj = [row & f_mask if f_mask >> v & 1 else 0 for v, row in enumerate(g.adj)]
     for u, v in removed_edges:
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-    cover = Graph(g.n, tuple(adj))
-    paths = []
-    for comp in components(cover, f_mask):
-        if any(adj[w].bit_count() > 2 for w in bits(comp)):
-            raise GraphError("component is not a path after edge-cover removal")
-        ends = [w for w in bits(comp) if adj[w].bit_count() <= 1]
-        size = comp.bit_count()
-        if size == 1:
-            paths.append(ends)
-            continue
-        if len(ends) != 2:
-            raise GraphError("cyclic component after edge-cover removal")
-        walk = [ends[0]]
-        prev = None
-        while len(walk) < size:
-            nxts = [u for u in bits(adj[walk[-1]]) if u != prev]
-            prev = walk[-1]
-            walk.append(nxts[0])
-        paths.append(walk)
-    return paths
+    if any(row.bit_count() > 2 for row in adj):
+        raise GraphError("component is not a path after edge-cover removal")
+    # acyclic: g - S is a forest, and deleting edges keeps it one
+    return [path_order(adj, comp)
+            for comp in components(Graph(g.n, tuple(adj)), f_mask)]
 
 
 def _endpoints_forcing(g, base_blue, paths):
@@ -270,7 +251,9 @@ def forcing_set_from_decycling(g, s_mask, mis=None):
     Requires g cubic and g-S acyclic with c components.  Builds the witness
     through an edge cover of the degree-3 vertices of the forest F = g-S,
     deletes those edges to leave a path cover of F, and takes S plus one
-    endpoint per path.  alpha comes from ``mis``, g's
+    endpoint per path.  The cover is a minimum edge cover of the degree-3
+    vertices with a degree-3 neighbour in F; each lone one, with none, is
+    covered by its lowest-index edge in F.  alpha comes from ``mis``, g's
     ``IndependenceCertificate``, computed when not given.
     """
     if not classify_degrees(g).is_cubic:
@@ -280,40 +263,10 @@ def forcing_set_from_decycling(g, s_mask, mis=None):
         raise GraphError("g - S must be acyclic")
     c = len(components(g, f_mask))
 
-    deg_f = {v: (g.adj[v] & f_mask).bit_count() for v in bits(f_mask)}
-    d3 = sorted(v for v in bits(f_mask) if deg_f[v] == 3)
-    d3_index = {v: i for i, v in enumerate(d3)}
-
-    # auxiliary bipartite graph on the degree-3 vertices, with a fresh pendant
-    # attached to each vertex isolated among them
-    aux_edges = []
-    for v in d3:
-        for u in bits(g.adj[v] & f_mask):
-            if u in d3_index and u > v:
-                aux_edges.append((d3_index[v], d3_index[u]))
-    aux_n = len(d3)
-    touched = set()
-    for a, b in aux_edges:
-        touched.add(a)
-        touched.add(b)
-    pendant_owner = {}
-    for i in range(len(d3)):
-        if i not in touched:
-            pendant_owner[aux_n] = i
-            aux_edges.append((i, aux_n))
-            aux_n += 1
-
-    removed = []
-    if aux_n:
-        aux = graph_from_edges(aux_n, aux_edges)
-        for a, b in sorted(minimum_edge_cover(aux)):
-            if a < len(d3) and b < len(d3):
-                removed.append((d3[a], d3[b]))
-            else:
-                owner = d3[pendant_owner[max(a, b)]]
-                # substitute the lowest-index forest edge at the same vertex
-                u = next(bits(g.adj[owner] & f_mask))
-                removed.append((min(owner, u), max(owner, u)))
+    d3 = mask_of(v for v in bits(f_mask) if (g.adj[v] & f_mask).bit_count() == 3)
+    lone = mask_of(v for v in bits(d3) if not g.adj[v] & d3)
+    removed = list(minimum_edge_cover(g, d3 & ~lone))
+    removed += [(v, next(bits(g.adj[v] & f_mask))) for v in bits(lone)]
 
     paths = _path_components_after_removal(g, f_mask, removed)
     witness = _endpoints_forcing(g, s_mask, paths)
@@ -436,11 +389,6 @@ def check_three_alpha_bound(g):
     return BoundReport("three_alpha_minus_half_n", value, holds, construction.witness)
 
 
-def _is_complete_mask(g, comp):
-    size = comp.bit_count()
-    return all((g.adj[v] & comp).bit_count() == size - 1 for v in bits(comp))
-
-
 def _degree_alpha_set(g, a_mask=None):
     """Recursive zero-forcing-set construction of size <= (max_degree - 1) * alpha,
     grown from the maximum independent set ``a_mask`` (computed when not given)."""
@@ -474,7 +422,7 @@ def _degree_alpha_set(g, a_mask=None):
                 # forcing set of the component on its own
                 u = next(bits(comp))
                 blue |= (1 << u) | (g.adj[u] & comp) & -(g.adj[u] & comp)
-        elif _is_complete_mask(g, comp):
+        elif is_complete(g, comp):
             if size == delta + 1:
                 # pick two vertices with no common neighbor in A to leave white
                 pair = None
@@ -506,7 +454,7 @@ def degree_alpha_construction(g, mis=None):
         raise GraphError("requires maximum degree at least 3")
     if not is_connected(g):
         raise GraphError("requires a connected graph")
-    if _is_complete_mask(g, g.full_mask):
+    if is_complete(g):
         raise GraphError("requires a non-complete graph")
     if mis is None:
         mis = maximum_independent_set(g)

@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .graphs import GraphError, bits
+from .graphs import GraphError, bits, is_connected, mask_of
 
 
 class NotForcingSetError(GraphError):
@@ -167,9 +167,7 @@ def enumerate_minimal_forts(g, cap):
     found = []
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            members = 0
-            for v in combo:
-                members |= 1 << v
+            members = mask_of(combo)
             if any(f & ~members == 0 for f in found):
                 continue
             if is_fort(g, members):
@@ -219,7 +217,7 @@ def _seed_forts(g):
                 forts.append(pair)
     if g.n <= 40:
         for combo in itertools.combinations(range(g.n), 3):
-            triple = sum(1 << v for v in combo)
+            triple = mask_of(combo)
             if any(f & ~triple == 0 for f in forts):
                 continue
             if is_fort(g, triple):
@@ -326,8 +324,6 @@ def zero_forcing_number(g, deadline=None):
 
 def min_zfset_avoiding(g, v, deadline=None):
     """A minimum zero forcing set of a connected nontrivial graph avoiding ``v``."""
-    from .graphs import is_connected
-
     if g.n < 2 or not is_connected(g):
         raise GraphError("requires a connected graph on at least 2 vertices")
     z, _ = zero_forcing_number(g, deadline)

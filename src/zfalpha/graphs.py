@@ -256,11 +256,40 @@ def claw_centers(g):
     return centers
 
 
-def bipartition(g):
-    """2-coloring as (side0_mask, side1_mask); raises on an odd cycle."""
+def is_complete(g, within=None):
+    """True iff ``within`` (default: all of g) induces a clique."""
+    if within is None:
+        within = g.full_mask
+    size = within.bit_count()
+    return all((g.adj[v] & within).bit_count() == size - 1
+               for v in bits(within))
+
+
+def path_order(adj, comp):
+    """Members of ``comp``, a path or cycle under the neighbour masks ``adj``,
+    in walk order: a path from its lowest endpoint, a cycle from its lowest
+    vertex toward its lower neighbour."""
+    start = next((v for v in bits(comp) if (adj[v] & comp).bit_count() <= 1),
+                 (comp & -comp).bit_length() - 1)
+    walk = [start]
+    left = comp & ~(1 << start)
+    nxt = adj[start] & left
+    while nxt:
+        v = (nxt & -nxt).bit_length() - 1
+        walk.append(v)
+        left &= ~(1 << v)
+        nxt = adj[v] & left
+    return walk
+
+
+def bipartition(g, within=None):
+    """2-coloring of the subgraph induced by ``within`` (default: all of g)
+    as (side0_mask, side1_mask); raises on an odd cycle."""
+    if within is None:
+        within = g.full_mask
     color = {}
     side = [0, 0]
-    for start in range(g.n):
+    for start in bits(within):
         if start in color:
             continue
         color[start] = 0
@@ -268,7 +297,7 @@ def bipartition(g):
         queue = [start]
         while queue:
             v = queue.pop()
-            for u in bits(g.adj[v]):
+            for u in bits(g.adj[v] & within):
                 if u in color:
                     if color[u] == color[v]:
                         raise NotBipartiteError(f"odd cycle through edge {v}-{u}")
@@ -283,16 +312,19 @@ def bipartition(g):
 # bipartite matching and edge cover
 
 
-def maximum_matching_bipartite(g):
-    """Maximum matching of a bipartite graph via augmenting paths.
+def maximum_matching_bipartite(g, within=None):
+    """Maximum matching of the bipartite subgraph induced by ``within``
+    (default: all of g) via augmenting paths.
 
     Returns a frozenset of (u, v) edges with u < v.
     """
-    left, _right = bipartition(g)
+    if within is None:
+        within = g.full_mask
+    left, _right = bipartition(g, within)
     match = [-1] * g.n  # partner or -1
 
     def try_augment(v, visited):
-        for u in bits(g.adj[v]):
+        for u in bits(g.adj[v] & within):
             if visited & (1 << u):
                 continue
             visited |= 1 << u
@@ -310,31 +342,29 @@ def maximum_matching_bipartite(g):
     for v in bits(left):
         if match[v] == -1:
             try_augment(v, 0)
-    out = set()
-    for v in range(g.n):
-        if match[v] > v:
-            out.add((v, match[v]))
-    return frozenset(out)
+    return frozenset((v, match[v]) for v in bits(within) if match[v] > v)
 
 
-def minimum_edge_cover(g):
-    """Minimum edge cover of a bipartite graph without isolated vertices.
+def minimum_edge_cover(g, within=None):
+    """Minimum edge cover of the bipartite subgraph induced by ``within``
+    (default: all of g), which must have no isolated vertices.
 
     Gallai completion: a maximum matching plus, for every unmatched vertex,
-    its lowest-index incident edge. The size is n - |matching|.
+    its lowest-index incident edge. The size is |within| - |matching|.
     """
-    for v in range(g.n):
-        if g.adj[v] == 0:
+    if within is None:
+        within = g.full_mask
+    for v in bits(within):
+        if not g.adj[v] & within:
             raise IsolatedVertexError(f"vertex {v} is isolated")
-    matching = maximum_matching_bipartite(g)
+    matching = maximum_matching_bipartite(g, within)
     covered = 0
     for u, v in matching:
         covered |= (1 << u) | (1 << v)
     cover = set(matching)
-    for v in range(g.n):
-        if not covered & (1 << v):
-            u = next(bits(g.adj[v]))
-            cover.add((min(u, v), max(u, v)))
+    for v in bits(within & ~covered):
+        u = next(bits(g.adj[v] & within))
+        cover.add((min(u, v), max(u, v)))
     return frozenset(cover)
 
 

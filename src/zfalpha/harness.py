@@ -19,7 +19,7 @@ from .bounds import (BoundReport, check_small_z_bounds, decycling_number,
 from .forcing import (SolverBudgetExceeded, _force_steps, closure,
                       zero_forcing_number)
 from .graphs import (GraphError, bits, claw_centers, classify_degrees,
-                     is_connected, parse_graph6, write_graph6)
+                     is_complete, is_connected, parse_graph6, write_graph6)
 from .independence import maximum_independent_set
 
 
@@ -95,7 +95,7 @@ CSV_COLUMNS = ("graph6", "n", "z", "alpha", "phi", "upper_embeddable",
 
 
 def _is_k4(g):
-    return g.n == 4 and all(g.degree(v) == 3 for v in range(g.n))
+    return g.n == 4 and is_complete(g)
 
 
 def verify_graph(g, cfg=None):
@@ -110,21 +110,19 @@ def verify_graph(g, cfg=None):
     timings = {}
     incomplete = []
 
-    def timed(name, fn, *args):
+    def timed(name, solver):
         deadline = time.monotonic() + cfg.budget_secs
         start = time.perf_counter()
         try:
-            return fn(*args, deadline) if fn in _DEADLINE_AWARE else fn(*args)
+            return solver(g, deadline)
         except SolverBudgetExceeded:
             incomplete.append(name)
             return None
         finally:
             timings[name] = time.perf_counter() - start
 
-    _DEADLINE_AWARE = {zero_forcing_number, maximum_independent_set}
-
-    z_result = timed("zero_forcing", zero_forcing_number, g)
-    alpha_result = timed("independence", maximum_independent_set, g)
+    z_result = timed("zero_forcing", zero_forcing_number)
+    alpha_result = timed("independence", maximum_independent_set)
     z = z_result[0] if z_result else None
     alpha = alpha_result.alpha if alpha_result else None
 
@@ -175,9 +173,7 @@ def verify_graph(g, cfg=None):
     if None not in (z, alpha):
         bounds.extend(check_small_z_bounds(g, z, alpha))
 
-    if (profile.max_degree >= 3
-            and not all(g.degree(v) == g.n - 1 for v in range(g.n))
-            and None not in (z, alpha)):
+    if profile.max_degree >= 3 and not is_complete(g) and None not in (z, alpha):
         bounds.append(degree_alpha_construction(g, alpha_result))
 
     return Certificate(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forcing import _check_deadline
-from .graphs import bits, components, induced_edge_count
+from .graphs import bits, components, induced_edge_count, mask_of, path_order
 
 
 @dataclass(frozen=True)
@@ -31,37 +31,15 @@ def is_near_independent(g, members):
 def _solve_degree_le2(g, cand):
     """Optimal independent set when every candidate vertex has candidate-degree <= 2.
 
-    The candidate-induced components are paths and cycles; alternate from a
-    deterministic endpoint (paths) or start vertex (cycles).
+    The candidate-induced components are paths and cycles; take every other
+    vertex of each one's ``path_order`` walk, less the last of an odd cycle.
     """
     chosen = 0
     for comp in components(g, cand):
-        size = comp.bit_count()
-        degs = {v: (g.adj[v] & comp).bit_count() for v in bits(comp)}
-        endpoints = [v for v in bits(comp) if degs[v] <= 1]
-        if endpoints:
-            # path: walk from the lowest endpoint, take every other vertex
-            v, prev = endpoints[0], -1
-            take = True
-            for _ in range(size):
-                if take:
-                    chosen |= 1 << v
-                take = not take
-                nxts = [u for u in bits(g.adj[v] & comp) if u != prev]
-                if not nxts:
-                    break
-                prev, v = v, nxts[0]
-        else:
-            # cycle: walk from the lowest vertex, floor(size/2) alternating picks
-            v = next(bits(comp))
-            prev = -1
-            for i in range(size):
-                if i % 2 == 0 and i < size - (size % 2):
-                    chosen |= 1 << v
-                nxts = [u for u in bits(g.adj[v] & comp) if u != prev]
-                if not nxts:
-                    break
-                prev, v = v, nxts[0]
+        walk = path_order(g.adj, comp)
+        chosen |= mask_of(walk[::2])
+        if len(walk) % 2 and g.adj[walk[0]] >> walk[-1] & 1:
+            chosen &= ~(1 << walk[-1])
     return chosen
 
 

@@ -1,12 +1,15 @@
+import functools
+import hashlib
 import random
 
 import pytest
 
-from zfalpha.bounds import (check_small_z_bounds, check_three_alpha_bound,
-                            decycling_number, degree_alpha_construction,
-                            embeddability_report, find_partition_one_face,
-                            find_partition_two_face, forcing_set_from_decycling,
-                            minimum_path_cover, path_complement_mis)
+from zfalpha.bounds import (_first_decycling_set, check_small_z_bounds,
+                            check_three_alpha_bound, decycling_number,
+                            degree_alpha_construction, embeddability_report,
+                            find_partition_one_face, find_partition_two_face,
+                            forcing_set_from_decycling, minimum_path_cover,
+                            path_complement_mis)
 from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.forcing import is_zero_forcing_set, zero_forcing_number
 from zfalpha.graphs import (GraphError, bits, classify_degrees,
@@ -19,7 +22,13 @@ from zfalpha.independence import (is_independent, is_near_independent,
                                   maximum_independent_set)
 
 from oracles import (brute_decycling, random_connected_bounded_degree_edges,
-                     random_forest_edges)
+                     random_cubic_edges, random_edge_graph, random_forest_edges)
+
+
+@functools.cache
+def cubic_graphs(n):
+    """enumerate_connected_cubic(n), run once: n = 12 alone takes seconds."""
+    return tuple(enumerate_connected_cubic(n))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +77,7 @@ def test_path_cover_is_valid_and_equals_z():
 
 def test_path_complement_mis_on_all_small_cubic():
     for n in (6, 8, 10):
-        for g in enumerate_connected_cubic(n):
+        for g in cubic_graphs(n):
             a = path_complement_mis(g)
             assert a.bit_count() == maximum_independent_set(g).alpha
             assert is_independent(g, a)
@@ -98,7 +107,7 @@ def test_forcing_set_from_decycling_examples():
 
 def test_forcing_set_from_decycling_all_small_cubic():
     for n in (6, 8, 10):
-        for g in enumerate_connected_cubic(n):
+        for g in cubic_graphs(n):
             phi, s = decycling_number(g)
             rep = forcing_set_from_decycling(g, s)
             assert rep.holds
@@ -109,6 +118,56 @@ def test_forcing_set_from_decycling_all_small_cubic():
 def test_forcing_set_from_decycling_rejects_cyclic_remainder():
     with pytest.raises(GraphError):
         forcing_set_from_decycling(complete_graph(4), 0b0001)
+
+
+# SHA-256 of repr(forcing_set_from_decycling(g, s, mis)) over the inputs of
+# test_decycling_construction_matches_golden_digest, followed by the repr of
+# maximum_independent_set on sparse random graphs.  It pins the edge cover,
+# the path split and the endpoint choice, not just the bound they certify.
+CONSTRUCTION_DIGEST = "5fc4671f07ea3b7812400577b703f0b4a2abbfda7827de03f56434f0620fc8e9"
+
+
+def _random_decycling_mask(g, rng):
+    """Random S with g - S a forest: grow a sparse random set until it
+    decycles g, then drop, in random order, each member whose removal keeps
+    g - S a forest.  Minimal sets leave big forests, with adjacent degree-3
+    vertices."""
+    s = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+    for v in rng.sample(range(g.n), g.n):
+        if is_acyclic(g, g.full_mask & ~s):
+            break
+        s |= 1 << v
+    for v in rng.sample(list(bits(s)), s.bit_count()):
+        if is_acyclic(g, g.full_mask & ~s | 1 << v):
+            s &= ~(1 << v)
+    return s
+
+
+def test_decycling_construction_matches_golden_digest():
+    rng = random.Random(61)
+    cases = []
+    for n in range(4, 13, 2):
+        for g in cubic_graphs(n):
+            phi, s = decycling_number(g)
+            cases += [(g, s), (g, _first_decycling_set(g, phi + 1))]
+    for n in range(14, 25, 2):
+        for _ in range(3):
+            g = graph_from_edges(n, random_cubic_edges(n, rng))
+            cases += [(g, _random_decycling_mask(g, rng)) for _ in range(5)]
+            cases.append((g, g.full_mask & ~path_complement_mis(g)))
+    h = hashlib.sha256()
+    for g, s in cases:
+        rep = forcing_set_from_decycling(g, s, maximum_independent_set(g))
+        h.update(repr(rep).encode() + b"\n")
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        if rng.random() < 0.5:
+            g = random_edge_graph(graph_from_edges, n, rng.random() * 3 / n, rng)
+        else:
+            g = graph_from_edges(n, random_connected_bounded_degree_edges(
+                n, rng.randint(2, 3), rng.randint(0, n), rng))
+        h.update(repr(maximum_independent_set(g)).encode() + b"\n")
+    assert h.hexdigest() == CONSTRUCTION_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +211,7 @@ def test_partition_structure():
     # the finders label the first decycling set of their size without
     # re-checking it; re-derive every label here
     for n in range(4, 13, 2):
-        for g in enumerate_connected_cubic(n):
+        for g in cubic_graphs(n):
             phi, witness = decycling_number(g)
             p1 = find_partition_one_face(g)
             p2 = find_partition_two_face(g)
@@ -188,7 +247,7 @@ def test_partition_structure():
 
 def test_three_alpha_bound_small_cubic():
     for n in (6, 8):
-        for g in enumerate_connected_cubic(n):
+        for g in cubic_graphs(n):
             rep = check_three_alpha_bound(g)
             assert rep.holds
             z, _ = zero_forcing_number(g)

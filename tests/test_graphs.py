@@ -3,14 +3,16 @@ import random
 import networkx as nx
 import pytest
 
-from zfalpha.graphs import (Graph, Graph6Error, GraphError, bits, bipartition,
+from zfalpha.graphs import (Graph, Graph6Error, GraphError,
+                            IsolatedVertexError, bits, bipartition,
                             claw_centers, classify_degrees, complete_bipartite,
                             complete_graph, components, connected_components,
                             cycle_graph, disjoint_union, graph_from_edges,
-                            induced_subgraph, is_acyclic, is_connected, mask_of,
-                            maximum_matching_bipartite, minimum_edge_cover,
-                            parse_graph6, path_graph, petersen_graph,
-                            prism_graph, star_graph, write_graph6)
+                            induced_subgraph, is_acyclic, is_complete,
+                            is_connected, mask_of, maximum_matching_bipartite,
+                            minimum_edge_cover, parse_graph6, path_graph,
+                            path_order, petersen_graph, prism_graph,
+                            star_graph, write_graph6)
 
 from oracles import brute_is_acyclic, nx_graph, random_edge_graph
 
@@ -156,12 +158,65 @@ def test_matching_and_edge_cover_vs_networkx():
             assert g.has_edge(a, b)
             covered.update((a, b))
         assert covered == set(range(g.n))
+        # masked calls agree with the unmasked call on the induced subgraph,
+        # relabelled back: the same edges, not just the same sizes
+        within = rng.getrandbits(g.n)
+        sub, keep = induced_subgraph(g, within)
+
+        def back(edges):
+            return frozenset((keep[a], keep[b]) for a, b in edges)
+
+        assert bipartition(g, within) == tuple(
+            mask_of(keep[i] for i in bits(side)) for side in bipartition(sub))
+        matching = maximum_matching_bipartite(g, within)
+        assert matching == back(maximum_matching_bipartite(sub))
+        if all(sub.adj):
+            cover = minimum_edge_cover(g, within)
+            assert cover == back(minimum_edge_cover(sub))
+            # Gallai completion: an unmatched vertex takes its lowest edge
+            matched = mask_of(v for e in matching for v in e)
+            for v in bits(within & ~matched):
+                u = next(bits(g.adj[v] & within))
+                assert (min(u, v), max(u, v)) in cover
+        else:
+            with pytest.raises(IsolatedVertexError):
+                minimum_edge_cover(g, within)
 
 
 def test_minimum_edge_cover_rejects_isolated():
-    from zfalpha.graphs import IsolatedVertexError
     with pytest.raises(IsolatedVertexError):
         minimum_edge_cover(graph_from_edges(3, [(0, 1)]))
+
+
+def test_path_order_on_scrambled_paths_and_cycles():
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        label = rng.sample(range(12), n)
+        walk = label if rng.random() < 0.5 or n < 3 else label + label[:1]
+        g = graph_from_edges(12, list(zip(walk, walk[1:])))
+        got = path_order(g.adj, mask_of(label))
+        if walk is label:  # a path, from its lowest endpoint
+            expect = label if label[0] < label[-1] else label[::-1]
+        else:  # a cycle, from its lowest vertex toward its lower neighbour
+            i = label.index(min(label))
+            expect = label[i:] + label[:i]
+            if expect[-1] < expect[1]:
+                expect = expect[:1] + expect[:0:-1]
+        assert got == expect
+    assert path_order(graph_from_edges(5, []).adj, 0b00100) == [2]
+
+
+def test_is_complete():
+    assert is_complete(complete_graph(5))
+    assert is_complete(graph_from_edges(0, []))
+    assert not is_complete(cycle_graph(4))
+    c4 = cycle_graph(4)
+    assert is_complete(c4, 0b0011) and not is_complete(c4, 0b0101)
+    assert is_complete(c4, 0b0100) and is_complete(c4, 0)
+    g = disjoint_union(complete_graph(4), complete_graph(3))
+    assert [is_complete(g, c) for c in connected_components(g)] == [True, True]
+    assert not is_complete(g)
 
 
 def test_named_graphs():
