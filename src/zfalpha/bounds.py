@@ -1,7 +1,7 @@
 """Constructive machinery relating zero forcing, independence, and decycling.
 
 Everything here either builds an explicit zero forcing set (and verifies it by
-closure) or exhaustively searches for a decycling partition, so every reported
+closure) or exhaustively searches for a minimum decycling set, so every reported
 bound comes with a checkable witness.
 """
 
@@ -121,22 +121,21 @@ def path_complement_mis(g, mis=None):
     if mis is None:
         mis = maximum_independent_set(g)
     a_mask = mis.witness
-    while True:
-        h_mask = g.full_mask & ~a_mask
-        cycles = _cycle_components(g, h_mask)
-        if not cycles:
-            return a_mask
-        improved = _swap_once(g, a_mask, h_mask, cycles)
+    cycles = _cycle_components(g, g.full_mask & ~a_mask)
+    while cycles:
+        improved = _swap_once(g, a_mask, cycles)
         if improved is None:
             raise GraphError("no cycle-reducing swap found; invariant violated")
-        new_cycles = len(_cycle_components(g, g.full_mask & ~improved))
-        if new_cycles >= len(cycles):
+        new_cycles = _cycle_components(g, g.full_mask & ~improved)
+        if len(new_cycles) >= len(cycles):
             raise GraphError("swap did not reduce the cycle count")
-        a_mask = improved
+        a_mask, cycles = improved, new_cycles
+    return a_mask
 
 
-def _swap_once(g, a_mask, h_mask, cycle_comps):
+def _swap_once(g, a_mask, cycle_comps):
     n_cycles = len(cycle_comps)
+    h_mask = g.full_mask & ~a_mask
     h_comps = components(g, h_mask)
 
     def h_degree(v):
@@ -195,7 +194,7 @@ def _swap_once(g, a_mask, h_mask, cycle_comps):
                 return result
         return try_candidate(cs, as_)
 
-    for comp in sorted(cycle_comps, key=lambda m: m & -m):
+    for comp in cycle_comps:
         for c0 in bits(comp):
             a0_mask = g.adj[c0] & a_mask
             if a0_mask == 0:
@@ -321,32 +320,32 @@ def _require_connected_cubic(g, op):
         raise GraphError(f"{op} requires a connected cubic graph")
 
 
-def find_partition_one_face(g):
+def find_partition_one_face(g, decycling=None):
     """Partition with S independent and g[R] a tree, or None.
 
-    Only |S| = (n+2)/4 can qualify, and there every decycling set does.
+    Labels the minimum decycling set S of ``decycling``, g's
+    ``decycling_number`` result (computed when not given): a partition
+    exists iff phi = (n+2)/4, and then S is one.
     """
     _require_connected_cubic(g, "find_partition_one_face")
-    if (g.n + 2) % 4 != 0:
-        return None
-    s = _first_decycling_set(g, (g.n + 2) // 4)
-    if s is None:
+    phi, s = decycling or decycling_number(g)
+    if 4 * phi != g.n + 2:
         return None
     return DecyclingPartition(g.full_mask & ~s, s, "independent", "tree")
 
 
-def find_partition_two_face(g):
+def find_partition_two_face(g, decycling=None):
     """Partition matching either two-face clause, or None.
 
     Clause 1: g[R] a tree and S near independent.
     Clause 2: g[R] a two-component forest and S independent.
-    Only |S| = (n+4)/4 can qualify, and there every decycling set meets one.
+    Labels the minimum decycling set S of ``decycling``, g's
+    ``decycling_number`` result (computed when not given): a partition
+    exists iff phi = (n+4)/4, and then S meets one clause.
     """
     _require_connected_cubic(g, "find_partition_two_face")
-    if g.n % 4 != 0:
-        return None
-    s = _first_decycling_set(g, (g.n + 4) // 4)
-    if s is None:
+    phi, s = decycling or decycling_number(g)
+    if 4 * phi != g.n + 4:
         return None
     if is_independent(g, s):
         return DecyclingPartition(g.full_mask & ~s, s, "independent",
@@ -355,20 +354,19 @@ def find_partition_two_face(g):
 
 
 def embeddability_report(g):
-    """Decycling number, maximum genus, and face-embeddability classification."""
+    """Decycling number, maximum genus, and face-embeddability classification,
+    all from one ``decycling_number`` search."""
     _require_connected_cubic(g, "embeddability_report")
-    part1 = find_partition_one_face(g)
-    part2 = find_partition_two_face(g)
-    part = part1 or part2
-    phi, witness = ((part.s_mask.bit_count(), part.s_mask) if part
-                    else decycling_number(g))
+    decycling = phi, witness = decycling_number(g)
+    one = find_partition_one_face(g, decycling) is not None
+    two = find_partition_two_face(g, decycling) is not None
     return EmbeddabilityReport(
         phi=phi,
         phi_witness=witness,
         max_genus=g.n // 2 + 1 - phi,
-        upper_embeddable=part is not None,
-        one_face=part1 is not None,
-        two_face=part2 is not None,
+        upper_embeddable=one or two,
+        one_face=one,
+        two_face=two,
     )
 
 

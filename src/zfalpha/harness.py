@@ -94,10 +94,6 @@ CSV_COLUMNS = ("graph6", "n", "z", "alpha", "phi", "upper_embeddable",
                "one_face", "two_face", "claw_center_count", "violations")
 
 
-def _is_k4(g):
-    return g.n == 4 and is_complete(g)
-
-
 def verify_graph(g, cfg=None):
     """Certificate with exact Z and alpha plus every applicable bound check.
 
@@ -131,50 +127,45 @@ def verify_graph(g, cfg=None):
     bounds = []
     phi = upper = one = two = None
 
-    if profile.is_cubic and z is not None and alpha is not None:
-        if _is_k4(g):
-            bounds.append(BoundReport("z_le_alpha_plus_1", alpha + 1, True, 0,
-                                      applicable=False))
-        else:
+    if z_result and alpha_result:
+        complete = is_complete(g)
+        k4 = complete and g.n == 4
+        if profile.is_cubic:
             bounds.append(BoundReport("z_le_alpha_plus_1", alpha + 1,
-                                      z <= alpha + 1, 0))
-        # phi is at least ceil((n+2)/4), and a partition exists exactly when
-        # a decycling set of that size does, so phi is read off it
-        part1 = find_partition_one_face(g)
-        part2 = find_partition_two_face(g)
-        one = part1 is not None
-        two = part2 is not None
-        upper = one or two
-        phi = ((part1 or part2).s_mask.bit_count() if upper
-               else decycling_number(g)[0])
-        if part1 is not None:
-            rep = forcing_set_from_decycling(g, part1.s_mask, alpha_result)
-            ok = rep.holds and rep.witness.bit_count() <= alpha + 1
-            bounds.append(BoundReport("one_face_forcing", alpha + 1,
-                                      ok, rep.witness))
-        elif part2 is not None:
-            rep = forcing_set_from_decycling(g, part2.s_mask, alpha_result)
-            ok = rep.holds and rep.witness.bit_count() <= alpha + 2
-            bounds.append(BoundReport("two_face_forcing", alpha + 2,
-                                      ok, rep.witness))
-        if not _is_k4(g):
-            a_mask = path_complement_mis(g, alpha_result)
-            rep = forcing_set_from_decycling(g, g.full_mask & ~a_mask,
-                                             alpha_result)
-            value = 3 * alpha - g.n // 2
-            ok = rep.holds and z <= value
-            bounds.append(BoundReport("three_alpha_minus_half_n", value, ok,
-                                      rep.witness))
+                                      k4 or z <= alpha + 1, 0,
+                                      applicable=not k4))
+            # one search gives phi and its witness; the partitions label it
+            decycling = decycling_number(g)
+            phi = decycling[0]
+            part1 = find_partition_one_face(g, decycling)
+            part2 = find_partition_two_face(g, decycling)
+            part = part1 or part2
+            one, two = part1 is not None, part2 is not None
+            upper = part is not None
+            if upper:
+                name, value = (("one_face_forcing", alpha + 1) if one
+                               else ("two_face_forcing", alpha + 2))
+                rep = forcing_set_from_decycling(g, part.s_mask, alpha_result)
+                ok = rep.holds and rep.witness.bit_count() <= value
+                bounds.append(BoundReport(name, value, ok, rep.witness))
+            if not k4:
+                a_mask = path_complement_mis(g, alpha_result)
+                rep = forcing_set_from_decycling(g, g.full_mask & ~a_mask,
+                                                 alpha_result)
+                value = 3 * alpha - g.n // 2
+                ok = rep.holds and z <= value
+                bounds.append(BoundReport("three_alpha_minus_half_n", value,
+                                          ok, rep.witness))
 
-    if profile.is_subcubic and not _is_k4(g) and None not in (z, alpha):
-        bounds.append(BoundReport("z_le_alpha_plus_1_plus_claw_centers",
-                                  alpha + 1 + claws, z <= alpha + 1 + claws, 0))
+        if profile.is_subcubic and not k4:
+            bounds.append(BoundReport(
+                "z_le_alpha_plus_1_plus_claw_centers", alpha + 1 + claws,
+                z <= alpha + 1 + claws, 0))
 
-    if None not in (z, alpha):
         bounds.extend(check_small_z_bounds(g, z, alpha))
 
-    if profile.max_degree >= 3 and not is_complete(g) and None not in (z, alpha):
-        bounds.append(degree_alpha_construction(g, alpha_result))
+        if profile.max_degree >= 3 and not complete:
+            bounds.append(degree_alpha_construction(g, alpha_result))
 
     return Certificate(
         graph6=write_graph6(g).decode("ascii"), n=g.n, z=z, alpha=alpha, phi=phi,

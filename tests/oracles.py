@@ -1,14 +1,25 @@
 """Independent reference implementations used to validate the fast solvers.
 
 Everything here favors obviousness over speed: full subset enumeration,
-set-based propagation, and networkx for isomorphism testing.  Nothing in
-this module imports from the package under test.
+set-based propagation, and networkx for isomorphism testing.  The one import
+from the package under test is the enumerator behind ``cubic_graphs``, a
+shared cache of test inputs; ``count_cubic_classes`` is its oracle.
 """
 
+import functools
 import itertools
 import random
 
 import networkx as nx
+
+from zfalpha.enumeration import enumerate_connected_cubic
+
+
+@functools.cache
+def cubic_graphs(n):
+    """enumerate_connected_cubic(n), run once per test session: n = 12 alone
+    takes seconds."""
+    return tuple(enumerate_connected_cubic(n))
 
 
 def edges_of(adj_or_graph):

@@ -15,7 +15,6 @@ import pytest
 
 from zfalpha.bounds import (check_small_z_bounds, degree_alpha_construction,
                             minimum_path_cover)
-from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.forcing import SolverBudgetExceeded, is_zero_forcing_set, \
     zero_forcing_number
 from zfalpha.gadgets import (build_tight_graph, check_tight_family,
@@ -26,7 +25,7 @@ from zfalpha.harness import verify_batch
 from zfalpha.independence import maximum_independent_set
 
 from oracles import (brute_alpha, brute_zero_forcing, count_cubic_classes,
-                     random_bipartite_no_isolated,
+                     cubic_graphs, random_bipartite_no_isolated,
                      random_connected_bounded_degree_edges, random_edge_graph,
                      random_forest_edges)
 
@@ -51,9 +50,9 @@ def _note(g, z, alpha):
 def sweep():
     results = {}
     for n in sorted(EXPECTED_COUNTS):
-        summary, certs = verify_batch(enumerate_connected_cubic(n))
+        summary, certs = verify_batch(cubic_graphs(n))
         results[n] = (summary, certs)
-        for cert, g in zip(certs, enumerate_connected_cubic(n)):
+        for cert, g in zip(certs, cubic_graphs(n)):
             _note(g, cert.z, cert.alpha)
     return results
 
@@ -243,7 +242,7 @@ def test_criterion_11_embeddability(sweep):
 
 def test_criterion_12_oracle_agreement():
     ok = True
-    small_cubic = [g for n in (4, 6, 8) for g in enumerate_connected_cubic(n)]
+    small_cubic = [g for n in (4, 6, 8) for g in cubic_graphs(n)]
     rng = random.Random(1012)
     randoms = [random_edge_graph(graph_from_edges, rng.randint(1, 8),
                                  rng.random(), rng) for _ in range(200)]

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import random
 
@@ -10,7 +9,6 @@ from zfalpha.bounds import (_first_decycling_set, check_small_z_bounds,
                             find_partition_one_face, find_partition_two_face,
                             forcing_set_from_decycling, minimum_path_cover,
                             path_complement_mis)
-from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.forcing import is_zero_forcing_set, zero_forcing_number
 from zfalpha.graphs import (GraphError, bits, classify_degrees,
                             complete_bipartite, complete_graph,
@@ -21,14 +19,9 @@ from zfalpha.graphs import (GraphError, bits, classify_degrees,
 from zfalpha.independence import (is_independent, is_near_independent,
                                   maximum_independent_set)
 
-from oracles import (brute_decycling, random_connected_bounded_degree_edges,
-                     random_cubic_edges, random_edge_graph, random_forest_edges)
-
-
-@functools.cache
-def cubic_graphs(n):
-    """enumerate_connected_cubic(n), run once: n = 12 alone takes seconds."""
-    return tuple(enumerate_connected_cubic(n))
+from oracles import (brute_decycling, cubic_graphs,
+                     random_connected_bounded_degree_edges, random_cubic_edges,
+                     random_edge_graph, random_forest_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +201,15 @@ def test_embeddability_known_graphs():
 
 
 def test_partition_structure():
-    # the finders label the first decycling set of their size without
-    # re-checking it; re-derive every label here
+    # the finders label decycling_number's witness without re-checking it;
+    # re-derive every label here
     for n in range(4, 13, 2):
         for g in cubic_graphs(n):
-            phi, witness = decycling_number(g)
+            decycling = phi, witness = decycling_number(g)
             p1 = find_partition_one_face(g)
             p2 = find_partition_two_face(g)
+            assert (p1, p2) == (find_partition_one_face(g, decycling),
+                                find_partition_two_face(g, decycling))
             assert p1 is None or p2 is None
             part = p1 or p2
             assert (part is not None) == (phi == (n + 5) // 4)

@@ -4,13 +4,14 @@ import json
 import pytest
 
 from zfalpha.cli import main
-from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.graphs import (GraphError, complete_bipartite, complete_graph,
                             cycle_graph, disjoint_union, graph_from_edges,
                             parse_graph6, path_graph, petersen_graph,
                             write_graph6)
 from zfalpha.harness import (Certificate, RunConfig, trace_forcing,
                              verify_batch, verify_graph)
+
+from oracles import cubic_graphs
 
 
 def test_runconfig_validation():
@@ -89,8 +90,29 @@ def test_alpha_solved_once_per_certificate(monkeypatch):
     assert sizes.count(g.n) == 1 and len(sizes) == 3
 
 
+def test_decycling_searched_once_per_certificate(monkeypatch):
+    from zfalpha import bounds
+    search = bounds._first_decycling_set
+    sizes = []
+
+    def counted(g, size):
+        sizes.append(size)
+        return search(g, size)
+
+    monkeypatch.setattr(bounds, "_first_decycling_set", counted)
+    # phi = 4 on this 10-vertex graph: not upper-embeddable, so the scan
+    # passes size (n+2)/4 = 3 once on its way to 4
+    for g6, want in (("I}KGGGB?w", [3, 4]),
+                     (write_graph6(petersen_graph()).decode(), [3])):
+        g = parse_graph6(g6)
+        for run in (verify_graph, bounds.embeddability_report):
+            sizes.clear()
+            run(g)
+            assert sizes == want, (g6, run.__name__)
+
+
 def test_budget_exhaustion_recorded(tmp_path):
-    big = enumerate_connected_cubic(12)[0]
+    big = cubic_graphs(12)[0]
     cert = verify_graph(big, RunConfig(budget_secs=1e-6))
     assert "zero_forcing" in cert.incomplete
     assert cert.z is None
@@ -99,7 +121,7 @@ def test_budget_exhaustion_recorded(tmp_path):
 def test_verify_batch_writes_certificates(tmp_path):
     out = tmp_path / "certs.jsonl"
     csv = tmp_path / "certs.csv"
-    graphs = enumerate_connected_cubic(6)
+    graphs = cubic_graphs(6)
     summary, certs = verify_batch(graphs, out_path=str(out), csv_path=str(csv))
     assert summary.graphs_checked == 2
     assert summary.ok and not summary.violation_certs
@@ -115,7 +137,7 @@ def test_verify_batch_writes_certificates(tmp_path):
 
 
 def test_verify_batch_deterministic(tmp_path):
-    graphs = enumerate_connected_cubic(6)
+    graphs = cubic_graphs(6)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     verify_batch(graphs, out_path=str(a))
     verify_batch(graphs, out_path=str(b))
@@ -123,7 +145,7 @@ def test_verify_batch_deterministic(tmp_path):
 
 
 def test_verify_batch_workers_match_serial(tmp_path):
-    graphs = enumerate_connected_cubic(8)
+    graphs = cubic_graphs(8)
     a, b = tmp_path / "serial.jsonl", tmp_path / "pool.jsonl"
     verify_batch(graphs, RunConfig(), out_path=str(a))
     verify_batch(graphs, RunConfig(workers=2), out_path=str(b))
@@ -137,7 +159,7 @@ SWEEP_DIGEST = "0f99801905324d04be3a653fdcec0a9a8cc54b4a4d5b484c60822bd0501c5b4f
 
 def test_sweep_certificates_match_golden_digest(tmp_path):
     out = tmp_path / "sweep.jsonl"
-    graphs = [g for n in range(4, 13, 2) for g in enumerate_connected_cubic(n)]
+    graphs = [g for n in range(4, 13, 2) for g in cubic_graphs(n)]
     verify_batch(graphs, RunConfig(), out_path=str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST
 
