@@ -18,7 +18,7 @@ from .graphs import (Graph, GraphError, bits, classify_degrees, components,
 from .independence import is_independent, maximum_independent_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     bound_name: str
     bound_value: int

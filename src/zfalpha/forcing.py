@@ -1,6 +1,20 @@
-"""Zero forcing: closure, chronological forces, forts, and the exact solver.
+"""Zero forcing: closure, chronological forces, forts, and two exact solvers.
 
-The exact solver runs an implicit hitting-set loop over forts: every zero
+``closure`` is one worklist kernel: only a blue vertex whose white
+neighbourhood has just shrunk can gain a force, so a closure that extends
+an already-closed set starts from the new vertices and their blue
+neighbours.
+
+On cubic input ``zero_forcing_number`` runs the closure dynamic program
+("wavefront") of Brimkov, Fast & Hicks (EJOR 2019).  Its states are closed
+blue sets, expanded in order of cost.  One move picks a vertex v, makes v
+and all but one of its white neighbours blue (v then forces the last one)
+and takes the closure; the first time the full set is reached, its cost
+is Z.  The number of states can grow exponentially on graphs with many
+leaves (a star, a tree), so every other graph, and every search that must
+avoid given vertices, uses the fort solver.
+
+The fort solver runs an implicit hitting-set loop over forts: every zero
 forcing set must intersect every fort, so a minimum hitting set of any fort
 collection is a lower bound.  Whenever a candidate hitting set stalls, the
 white complement of its closure is itself a fort and is added to the
@@ -10,11 +24,12 @@ certified by a set that actually forces.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
 
-from .graphs import GraphError, bits, is_connected, mask_of
+from .graphs import GraphError, bits, classify_degrees, is_connected, mask_of
 
 
 class NotForcingSetError(GraphError):
@@ -34,20 +49,31 @@ def _check_deadline(deadline, solver):
         raise SolverBudgetExceeded(solver)
 
 
-def closure(g, blue):
+def closure(g, blue, closed=0):
     """Fixpoint of the color change rule starting from ``blue``.
 
-    Round-based sweep in ascending vertex order; the result is
-    order-independent (confluence is asserted by the test suite).
+    ``closed`` is a subset of ``blue`` that is already its own closure.  A
+    vertex of it can force only once a neighbour outside it is blue, so the
+    worklist starts from ``blue & ~closed`` and those neighbours; by default
+    it starts from every blue vertex.  The result does not depend on the
+    order forces are applied in (confluence is asserted by the test suite).
     """
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(blue):
-            white = g.adj[v] & ~blue
-            if white and white & (white - 1) == 0:
-                blue |= white
-                changed = True
+    adj = g.adj
+    todo = blue & ~closed
+    if closed:
+        new = todo
+        while new:
+            low = new & -new
+            new ^= low
+            todo |= adj[low.bit_length() - 1]
+        todo &= blue
+    while todo:  # bits(todo) inlined: todo grows while it is walked
+        low = todo & -todo
+        todo ^= low
+        white = adj[low.bit_length() - 1] & ~blue
+        if white and white & (white - 1) == 0:
+            blue |= white
+            todo |= adj[white.bit_length() - 1] & blue | white
     return blue
 
 
@@ -189,13 +215,14 @@ def _greedy_forcing_set(g, forbidden=0):
     while closed != g.full_mask:
         best_v, best_gain = -1, -1
         for v in bits(allowed & ~blue):
-            gain = closure(g, blue | (1 << v)).bit_count()
+            # the closure of blue + v is that of closed + v
+            gain = closure(g, closed | 1 << v, closed).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
         if best_v < 0:
             raise GraphError("no forcing set avoids the forbidden vertices")
         blue |= 1 << best_v
-        closed = closure(g, blue)
+        closed = closure(g, closed | 1 << best_v, closed)
     for v in bits(blue):
         candidate = blue & ~(1 << v)
         if candidate and closure(g, candidate) == g.full_mask:
@@ -316,9 +343,63 @@ def _solve_exact(g, forbidden=0, deadline=None):
         del dfs
 
 
+# ---------------------------------------------------------------------------
+# wavefront
+
+
+def _wavefront(g, deadline=None):
+    """Minimum zero forcing set by the closure dynamic program.
+
+    States are closed blue sets, expanded in Dijkstra order of
+    ``(cost, mask)``.  The move at vertex v turns v and each white neighbour
+    of v but the highest blue, at cost ``max(|N[v] \\ S| - 1, 1)``; v then
+    forces the highest, so the next state is the closure of ``S | N[v]``.
+    Each state keeps the ``(parent, added)`` move that first reached it at
+    its least cost, and the witness is the union of the ``added`` masks on
+    the path to the full set.
+    """
+    full = g.full_mask
+    adj = g.adj
+    best = {0: 0}  # the empty set is closed
+    move = {}
+    heap = [(0, 0)]
+    while True:  # every vertex can be made blue, so the full set is reached
+        cost, blue = heapq.heappop(heap)
+        if cost > best[blue]:
+            continue  # a cheaper entry for this state was expanded already
+        _check_deadline(deadline, "zero-forcing")
+        if blue == full:
+            witness = 0
+            while blue:
+                blue, added = move[blue]
+                witness |= added
+            return witness
+        for v in range(g.n):
+            white_nbrs = adj[v] & ~blue
+            new = (white_nbrs | 1 << v) & ~blue
+            if not new:
+                continue
+            added = new
+            if white_nbrs:  # v forces its highest white neighbour
+                added ^= 1 << white_nbrs.bit_length() - 1
+            reached = closure(g, blue | new, blue)
+            reached_cost = cost + (new.bit_count() - 1 or 1)
+            if reached_cost < best.get(reached, reached_cost + 1):
+                best[reached] = reached_cost
+                move[reached] = (blue, added)
+                heapq.heappush(heap, (reached_cost, reached))
+
+
 def zero_forcing_number(g, deadline=None):
-    """Exact Z(g) with a minimum witness set."""
-    witness, _ = _solve_exact(g, deadline=deadline)
+    """Exact Z(g) with a minimum witness set.
+
+    Cubic graphs go through the wavefront, every other graph through the
+    fort solver; the witness is a minimum zero forcing set either way.
+    """
+    if classify_degrees(g).is_cubic:
+        witness = _wavefront(g, deadline)
+    else:
+        witness, _ = _solve_exact(g, deadline=deadline)
     return witness.bit_count(), witness
 
 

@@ -46,7 +46,7 @@ def mask_of(vertices):
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph with per-vertex neighbor bitmasks."""
 

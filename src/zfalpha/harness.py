@@ -37,7 +37,7 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     graph6: str
     n: int
@@ -204,8 +204,11 @@ def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
     graphs = list(graphs)
     if cfg.workers > 1 and len(graphs) > 1:
         jobs = [(write_graph6(g).decode("ascii"), cfg) for g in graphs]
+        # multiprocessing.Pool.map's default chunk size; a chunk's results
+        # are pickled together, so they share one copy of each bound name
+        chunksize = -(-len(jobs) // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            certs = list(pool.map(_verify_worker, jobs))
+            certs = list(pool.map(_verify_worker, jobs, chunksize=chunksize))
     else:
         certs = [verify_graph(g, cfg) for g in graphs]
 

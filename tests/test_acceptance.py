@@ -84,7 +84,7 @@ def test_criterion_2_smallest_tight_graph():
 
 def test_criterion_3_tight_family():
     ok = True
-    for n in (4, 6, 8, 10):
+    for n in (4, 6, 8, 10, 12):
         for t in generate_31_trees(n):
             deadline = time.monotonic() + 60.0
             try:
@@ -95,7 +95,7 @@ def test_criterion_3_tight_family():
             if not rep.holds:
                 ok = False
     _report(3, ok, "Z = Z(T) + n + 2 = alpha + 1 for every degree-{1,3} "
-                   "tree on 4..10 vertices, each within the 60 s budget")
+                   "tree on 4..12 vertices, each within the 60 s budget")
 
 
 def test_criterion_4_decycling_construction(sweep):

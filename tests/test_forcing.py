@@ -4,20 +4,22 @@ import time
 
 import pytest
 
+from zfalpha import forcing
 from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
                              SolverBudgetExceeded, _is_fort_without,
-                             _shrink_fort, _solve_exact,
+                             _shrink_fort, _solve_exact, _wavefront,
                              chronological_forces, closure,
                              enumerate_minimal_forts, is_fort,
                              is_zero_forcing_set, min_zfset_avoiding,
                              zero_forcing_number)
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
-from zfalpha.graphs import (GraphError, bits, complete_bipartite,
-                            complete_graph, cycle_graph, disjoint_union,
-                            graph_from_edges, path_graph, petersen_graph,
-                            prism_graph, star_graph)
+from zfalpha.graphs import (GraphError, bits, classify_degrees,
+                            complete_bipartite, complete_graph, cycle_graph,
+                            disjoint_union, graph_from_edges, path_graph,
+                            petersen_graph, prism_graph, star_graph)
 
-from oracles import (brute_closure, brute_zero_forcing, random_cubic_edges,
+from oracles import (brute_closure, brute_zero_forcing, cubic_graphs,
+                     random_connected_bounded_degree_edges, random_cubic_edges,
                      random_edge_graph, random_forest_edges)
 
 
@@ -29,6 +31,16 @@ def test_closure_matches_set_oracle():
         blue = rng.getrandbits(n)
         expect = brute_closure(g, bits(blue))
         assert set(bits(closure(g, blue))) == expect
+
+
+def test_closure_from_closed_subset_matches_full_closure():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_edge_graph(graph_from_edges, n, rng.random(), rng)
+        closed = closure(g, rng.getrandbits(n) & rng.getrandbits(n))
+        blue = closed | rng.getrandbits(n) & rng.getrandbits(n)
+        assert closure(g, blue, closed) == closure(g, blue)
 
 
 def test_closure_is_order_independent():
@@ -227,7 +239,8 @@ def _relabeled(g, rng):
     return graph_from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
 
 
-def test_exact_search_matches_golden_digest():
+def _search_digest_cases():
+    """The (graph, forbidden) inputs of SEARCH_DIGEST, in order."""
     rng = random.Random(47)
     cases = []
     for n in (4, 6, 8):
@@ -244,11 +257,64 @@ def test_exact_search_matches_golden_digest():
         n = rng.randint(1, 10)
         g = random_edge_graph(graph_from_edges, n, rng.random(), rng)
         cases += [(g, 0), (g, rng.getrandbits(n) & rng.getrandbits(n))]
+    return cases
+
+
+def test_exact_search_matches_golden_digest():
     h = hashlib.sha256()
-    for g, forbidden in cases:
+    for g, forbidden in _search_digest_cases():
         try:
             result = repr(_solve_exact(g, forbidden))
         except GraphError:  # no forcing set avoids ``forbidden``
             result = "GraphError"
         h.update(result.encode() + b"\n")
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+def _check_wavefront(g, z):
+    witness = _wavefront(g)
+    assert witness.bit_count() == z, (g.edges(), witness, z)
+    assert is_zero_forcing_set(g, witness), (g.edges(), witness)
+    assert _wavefront(g) == witness, g.edges()
+
+
+def test_wavefront_matches_brute_oracle():
+    # called directly: zero_forcing_number sends only cubic graphs to it
+    rng = random.Random(53)
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        g = random_edge_graph(graph_from_edges, n, rng.random(), rng)
+        _check_wavefront(g, brute_zero_forcing(g))
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        g = graph_from_edges(n, random_forest_edges(n, rng))
+        _check_wavefront(g, brute_zero_forcing(g))
+    for _ in range(50):
+        n = rng.randint(2, 8)
+        g = graph_from_edges(n, random_connected_bounded_degree_edges(
+            n, rng.randint(2, 4), rng.randint(0, n), rng))
+        _check_wavefront(g, brute_zero_forcing(g))
+
+
+def test_wavefront_matches_exact_solver_on_cubic_graphs():
+    graphs = [g for n in range(4, 13, 2) for g in cubic_graphs(n)]
+    # the digest inputs include G_T for the 3-1 trees on 4, 6 and 8 vertices
+    graphs += [g for g, forbidden in _search_digest_cases()
+               if not forbidden and classify_degrees(g).is_cubic]
+    graphs += [build_tight_graph(t).result for t in generate_31_trees(10)]
+    for g in graphs:
+        witness, _ = _solve_exact(g)
+        _check_wavefront(g, witness.bit_count())
+
+
+def test_non_cubic_input_stays_on_fort_solver(monkeypatch):
+    def refuse(g, deadline=None):
+        raise AssertionError("the wavefront ran on this input")
+
+    monkeypatch.setattr(forcing, "_wavefront", refuse)
+    tree = generate_31_trees(8)[0].tree
+    assert zero_forcing_number(star_graph(16))[0] == 15
+    assert zero_forcing_number(tree)[0] == brute_zero_forcing(tree)
+    assert zero_forcing_number(path_graph(9))[0] == 1
+    with pytest.raises(AssertionError, match="wavefront"):
+        zero_forcing_number(petersen_graph())

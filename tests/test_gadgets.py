@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,10 +11,10 @@ from zfalpha.gadgets import (as_31_tree, build_tight_graph, check_tight_family,
                              tree_canonical_form)
 from zfalpha.graphs import (GraphError, bits, classify_degrees, cycle_graph,
                             graph_from_edges, is_connected, path_graph,
-                            star_graph)
+                            star_graph, write_graph6)
 from zfalpha.independence import maximum_independent_set
 
-from oracles import random_connected_bounded_degree_edges
+from oracles import cubic_graphs, random_connected_bounded_degree_edges
 
 
 def _random_connected_subcubic(rng, n):
@@ -204,6 +205,32 @@ def test_tight_family_equality_smallest():
     rep = check_tight_family(t)
     assert rep.holds
     assert rep.bound_value == len(minimum_path_cover(t.tree)) + 4 + 2
+
+
+# Census of the connected cubic graphs on n vertices: the histogram of
+# Z - alpha, and the tight graphs (Z = alpha + 1) in enumeration order.  K4
+# (Z - alpha = 2) is the one graph above the bound; tight graphs exist for
+# every n from 6 to 12, below the 16 vertices of the smallest G_T.
+TIGHT_CENSUS = {
+    4: ({2: 1}, []),
+    6: ({1: 2}, ["E{Sw", "Es\\o"]),
+    8: ({0: 2, 1: 3}, ["G}GOW[", "G{O_ww", "GsXPGs"]),
+    10: ({-1: 3, 0: 13, 1: 3}, ["I}KGGGB?w", "I}GOOOF@o", "IsP@PGXD_"]),
+    12: ({-2: 6, -1: 42, 0: 34, 1: 3},
+         ["K}KGGGA?_B_M", "K}GOOSC@GE?F", "K}GOOOE@OD?J"]),
+}
+
+
+def test_tight_cubic_census():
+    for n, (histogram, tight) in TIGHT_CENSUS.items():
+        gaps = Counter()
+        found = []
+        for g in cubic_graphs(n):
+            gap = zero_forcing_number(g)[0] - maximum_independent_set(g).alpha
+            gaps[gap] += 1
+            if gap == 1:
+                found.append(write_graph6(g).decode())
+        assert (dict(gaps), found) == (histogram, tight), n
 
 
 def test_leaf_forcing_zfset():
