@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .forcing import closure, is_zero_forcing_set, zero_forcing_number
-from .graphs import (Graph, GraphError, bits, classify_degrees, components,
+from .graphs import (GraphError, bits, classify_degrees, components,
                      connected_components, induced_edge_count, induced_subgraph,
                      is_acyclic, is_complete, is_connected, mask_of,
                      minimum_edge_cover, path_order)
@@ -49,45 +49,48 @@ class EmbeddabilityReport:
 # path covers of forests
 
 
+def _linear_forest_paths(adj, within):
+    """Paths of the linear forest on ``within`` under the neighbour masks
+    ``adj``, each as its ``path_order`` walk, ordered by smallest member."""
+    paths = []
+    while within:
+        walk = path_order(adj, within)  # from the lowest endpoint left
+        paths.append(walk)
+        within &= ~mask_of(walk)
+    return sorted(paths, key=min)
+
+
 def minimum_path_cover(f):
     """Minimum path cover of an acyclic graph, as a list of vertex sequences.
 
-    Leaf-to-root greedy: at each vertex join two open child chains when
-    possible, else extend one, else start a new chain.  The count equals the
+    Leaf-to-root greedy, each component rooted at its lowest vertex: a vertex
+    keeps the edges to its two lowest children that still end a path, and it
+    ends a path itself when it keeps fewer than two.  The count equals the
     zero forcing number of the forest (cross-checked in the test suite).
     """
     if not is_acyclic(f):
         raise GraphError("minimum_path_cover requires an acyclic graph")
-    closed = []
-    open_path = {}
-    for comp in connected_components(f):
-        root = next(bits(comp))
-        parent = {root: -1}
-        order = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in bits(f.adj[v]):
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
-                    stack.append(u)
-        for v in reversed(order):
-            opens = sorted(u for u in bits(f.adj[v])
-                           if parent.get(u) == v and u in open_path)
-            if len(opens) >= 2:
-                a, b = opens[0], opens[1]
-                joined = open_path.pop(a) + [v] + list(reversed(open_path.pop(b)))
-                closed.append(joined)
-                for u in opens[2:]:
-                    closed.append(open_path.pop(u))
-            elif len(opens) == 1:
-                open_path[v] = open_path.pop(opens[0]) + [v]
-            else:
-                open_path[v] = [v]
-        if root in open_path:
-            closed.append(open_path.pop(root))
-    return closed
+    # breadth-first order from each component's lowest vertex
+    order = []
+    layer = seen = sum(c & -c for c in connected_components(f))
+    while layer:
+        below = 0
+        for v in bits(layer):
+            order.append(v)
+            below |= f.adj[v]
+        layer = below & ~seen
+        seen |= layer
+    kept = [0] * f.n
+    ends = 0  # visited vertices that still end a path
+    for v in reversed(order):
+        kids = f.adj[v] & ends  # visited neighbours are children
+        rest = kids & (kids - 1)  # all but the lowest
+        for u in bits(kids ^ (rest & (rest - 1))):  # the lowest two
+            kept[v] |= 1 << u
+            kept[u] |= 1 << v
+        if not rest:
+            ends |= 1 << v
+    return _linear_forest_paths(kept, f.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +223,7 @@ def _path_components_after_removal(g, f_mask, removed_edges):
     if any(row.bit_count() > 2 for row in adj):
         raise GraphError("component is not a path after edge-cover removal")
     # acyclic: g - S is a forest, and deleting edges keeps it one
-    return [path_order(adj, comp)
-            for comp in components(Graph(g.n, tuple(adj)), f_mask)]
+    return _linear_forest_paths(adj, f_mask)
 
 
 def _endpoints_forcing(g, base_blue, paths):
@@ -234,7 +236,7 @@ def _endpoints_forcing(g, base_blue, paths):
         if i == len(paths):
             return blue if closure(g, blue) == g.full_mask else None
         p = paths[i]
-        choices = [p[0]] if len(p) == 1 else sorted((p[0], p[-1]))
+        choices = (p[0],) if len(p) == 1 else (p[0], p[-1])
         for end in choices:
             result = search(i + 1, blue | (1 << end))
             if result is not None:
@@ -273,7 +275,7 @@ def forcing_set_from_decycling(g, s_mask, mis=None):
         raise GraphError("constructed endpoint set failed to force the graph")
 
     sub_s, _ = induced_subgraph(g, s_mask)
-    beta_s = sub_s.n - maximum_independent_set(sub_s).alpha if sub_s.n else 0
+    beta_s = maximum_independent_set(sub_s).beta
     if mis is None:
         mis = maximum_independent_set(g)
     value = mis.alpha + beta_s + c

@@ -231,8 +231,10 @@ def _greedy_forcing_set(g, forbidden=0):
 
 
 def _seed_forts(g):
-    """All minimal forts on at most three vertices, a cheap strong start for
-    the hitting-set lower bound."""
+    """Every fort on one or two vertices and, for n <= 40, every minimal fort
+    on three: a cheap strong start for the hitting-set lower bound.  A pair
+    of isolated vertices is a fort but not a minimal one, since each of its
+    members is a fort alone; it is seeded all the same."""
     forts = []
     for v in range(g.n):
         if g.adj[v] == 0:
@@ -407,6 +409,8 @@ def min_zfset_avoiding(g, v, deadline=None):
     """A minimum zero forcing set of a connected nontrivial graph avoiding ``v``."""
     if g.n < 2 or not is_connected(g):
         raise GraphError("requires a connected graph on at least 2 vertices")
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} is not in the graph (0..{g.n - 1})")
     z, _ = zero_forcing_number(g, deadline)
     witness, _ = _solve_exact(g, forbidden=1 << v, deadline=deadline)
     if witness.bit_count() != z:

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .bounds import BoundReport, minimum_path_cover
-from .forcing import ForcingRecord, _chains_from_steps, zero_forcing_number
+from .forcing import (ForcingRecord, _chains_from_steps, _force_steps,
+                      zero_forcing_number)
 from .graphs import (Graph, GraphError, bits, classify_degrees, graph_from_edges,
                      is_acyclic, is_connected, mask_of)
 
@@ -235,44 +236,26 @@ def check_tight_family(t, deadline=None):
 
 def leaf_forcing_zfset(g):
     """Minimum zero forcing set of a 3-1 tree on >= 5 vertices together with a
-    replayable record in which every leaf of the set performs a force."""
+    replayable record in which every leaf of the set performs a force.
+
+    A leaf can only force its one neighbour, so such a record exists iff the
+    neighbours of the set's leaves are distinct and outside the set: the leaf
+    forces are then valid first moves, and ``_force_steps`` records the rest.
+    """
     t = as_31_tree(g)
     if g.n < 5:
         raise GraphError("requires a 3-1 tree on at least 5 vertices")
     z, _ = zero_forcing_number(g)
-    full = g.full_mask
-
-    def ordering_with_leaf_forces(b):
-        targets = b & t.leaves
-        failed = set()
-
-        def dfs(blue, leaves_forced, steps):
-            if blue == full:
-                return steps if leaves_forced == targets else None
-            key = (blue, leaves_forced)
-            if key in failed:
-                return None
-            for v in bits(blue):
-                white = g.adj[v] & ~blue
-                if white and white & (white - 1) == 0:
-                    w = white.bit_length() - 1
-                    forced = leaves_forced
-                    if targets & (1 << v):
-                        forced |= 1 << v
-                    res = dfs(blue | white, forced, steps + [(v, w)])
-                    if res is not None:
-                        return res
-            failed.add(key)
-            return None
-
-        return dfs(b, 0, [])
-
     for combo in itertools.combinations(range(g.n), z):
         b = mask_of(combo)
-        steps = ordering_with_leaf_forces(b)
-        if steps is not None:
-            record = ForcingRecord(b, tuple(steps), _chains_from_steps(b, steps))
-            return b, record
+        leaf_forces = [(v, g.adj[v].bit_length() - 1) for v in bits(b & t.leaves)]
+        forced = mask_of(w for _, w in leaf_forces)
+        if forced.bit_count() < len(leaf_forces) or forced & b:
+            continue
+        steps, blue = _force_steps(g, b | forced)
+        if blue == g.full_mask:
+            steps = leaf_forces + steps
+            return b, ForcingRecord(b, tuple(steps), _chains_from_steps(b, steps))
     raise GraphError(
         "no minimum zero forcing set with all member leaves forcing; "
         "this contradicts a proven property of 3-1 trees")

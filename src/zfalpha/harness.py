@@ -31,7 +31,7 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.budget_secs <= 0:
+        if not self.budget_secs > 0:  # also rejects NaN, which never expires
             raise ValueError("budget_secs must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
@@ -57,41 +57,29 @@ class Certificate:
         return tuple(b for b in self.bounds if b.applicable and not b.holds)
 
     def to_json(self):
-        payload = {
-            "graph6": self.graph6,
-            "n": self.n,
-            "z": self.z,
-            "alpha": self.alpha,
-            "phi": self.phi,
-            "upper_embeddable": self.upper_embeddable,
-            "one_face": self.one_face,
-            "two_face": self.two_face,
-            "claw_center_count": self.claw_center_count,
-            "bounds": [
-                {"name": b.bound_name, "value": b.bound_value,
-                 "holds": b.holds, "witness": b.witness,
-                 "applicable": b.applicable}
-                for b in self.bounds],
-            "incomplete": list(self.incomplete),
-        }
+        payload = {name: getattr(self, name) for name in SCALAR_FIELDS}
+        payload["bounds"] = [
+            {"name": b.bound_name, "value": b.bound_value, "holds": b.holds,
+             "witness": b.witness, "applicable": b.applicable}
+            for b in self.bounds]
+        payload["incomplete"] = list(self.incomplete)
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line):
         d = json.loads(line)
         return cls(
-            graph6=d["graph6"], n=d["n"], z=d["z"], alpha=d["alpha"],
-            phi=d["phi"], upper_embeddable=d["upper_embeddable"],
-            one_face=d["one_face"], two_face=d["two_face"],
-            claw_center_count=d["claw_center_count"],
+            **{name: d[name] for name in SCALAR_FIELDS},
             bounds=tuple(BoundReport(b["name"], b["value"], b["holds"],
                                      b["witness"], b["applicable"])
                          for b in d["bounds"]),
             incomplete=tuple(d["incomplete"]))
 
 
-CSV_COLUMNS = ("graph6", "n", "z", "alpha", "phi", "upper_embeddable",
-               "one_face", "two_face", "claw_center_count", "violations")
+# the certificate's scalar fields, in CSV column order
+SCALAR_FIELDS = ("graph6", "n", "z", "alpha", "phi", "upper_embeddable",
+                 "one_face", "two_face", "claw_center_count")
+CSV_COLUMNS = SCALAR_FIELDS + ("violations",)
 
 
 def verify_graph(g, cfg=None):
@@ -237,9 +225,8 @@ def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
         with open(csv_path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for c in certs:
-                row = [c.graph6, c.n, c.z, c.alpha, c.phi, c.upper_embeddable,
-                       c.one_face, c.two_face, c.claw_center_count,
-                       len(c.violations)]
+                row = [getattr(c, name) for name in SCALAR_FIELDS]
+                row.append(len(c.violations))
                 fh.write(",".join("" if x is None else str(x) for x in row)
                          + "\n")
 

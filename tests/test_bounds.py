@@ -3,19 +3,20 @@ import random
 
 import pytest
 
-from zfalpha.bounds import (_first_decycling_set, check_small_z_bounds,
+from zfalpha.bounds import (_first_decycling_set, _linear_forest_paths,
+                            check_small_z_bounds,
                             check_three_alpha_bound, decycling_number,
                             degree_alpha_construction, embeddability_report,
                             find_partition_one_face, find_partition_two_face,
                             forcing_set_from_decycling, minimum_path_cover,
                             path_complement_mis)
 from zfalpha.forcing import is_zero_forcing_set, zero_forcing_number
-from zfalpha.graphs import (GraphError, bits, classify_degrees,
-                            complete_bipartite, complete_graph,
+from zfalpha.graphs import (Graph, GraphError, bits, classify_degrees,
+                            complete_bipartite, complete_graph, components,
                             connected_components, cycle_graph, disjoint_union,
                             graph_from_edges, induced_subgraph, is_acyclic,
-                            parse_graph6, path_graph, petersen_graph,
-                            prism_graph, star_graph)
+                            parse_graph6, path_graph, path_order,
+                            petersen_graph, prism_graph, star_graph)
 from zfalpha.independence import (is_independent, is_near_independent,
                                   maximum_independent_set)
 
@@ -34,6 +35,24 @@ def test_path_cover_small_cases():
     assert len(minimum_path_cover(star_graph(5))) == 4
     assert len(minimum_path_cover(graph_from_edges(3, []))) == 3
     assert minimum_path_cover(graph_from_edges(0, [])) == []
+    for leaves in range(6, 20):
+        assert len(minimum_path_cover(star_graph(leaves))) == leaves - 1
+
+
+def test_linear_forest_paths_match_component_walks():
+    rng = random.Random(808)
+    for _ in range(400):
+        n = rng.randint(0, 24)
+        order = list(range(n))
+        rng.shuffle(order)
+        g = graph_from_edges(n, [(a, b) for a, b in zip(order, order[1:])
+                                 if rng.random() < 0.7])
+        within = rng.getrandbits(n) if n else 0
+        adj = [row & within if within >> v & 1 else 0
+               for v, row in enumerate(g.adj)]
+        expected = [path_order(adj, comp)
+                    for comp in components(Graph(n, tuple(adj)), within)]
+        assert _linear_forest_paths(adj, within) == expected
 
 
 def test_path_cover_rejects_cycles():

@@ -218,6 +218,9 @@ def test_min_zfset_avoiding():
     g = petersen_graph()
     witness = min_zfset_avoiding(g, 0)
     assert witness.bit_count() == 5 and not witness & 1
+    for outside in (10, 12, -1):
+        with pytest.raises(GraphError):
+            min_zfset_avoiding(g, outside)
 
 
 def test_budget_exceeded():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -233,14 +234,34 @@ def test_tight_cubic_census():
         assert (dict(gaps), found) == (histogram, tight), n
 
 
+# SHA-256 of repr((graph6, B)) for leaf_forcing_zfset over _leaf_forcing_cases();
+# it pins which minimum set is returned, not only its size
+LEAF_FORCING_DIGEST = (
+    "f8b010cdb12b7f94d496cc49d77cf345f472ae609d10916f2a22b5b683192a6f")
+
+
+def _leaf_forcing_cases():
+    """Every 3-1 tree on 6..14 vertices, each followed by three seeded
+    relabelings."""
+    rng = random.Random(31)
+    for n in range(6, 15, 2):
+        for t in generate_31_trees(n):
+            yield t.tree
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield graph_from_edges(
+                    n, [(perm[a], perm[b]) for a, b in t.tree.edges()])
+
+
 def test_leaf_forcing_zfset():
-    t = generate_31_trees(6)[0].tree
-    blue, record = leaf_forcing_zfset(t)
-    assert blue.bit_count() == zero_forcing_number(t)[0]
-    assert record.initial == blue
-    assert record.replay_ok(t)
-    leaves = {v for v in range(t.n) if t.degree(v) == 1}
-    forcers = {a for a, _ in record.steps}
-    for v in bits(blue):
-        if v in leaves:
-            assert v in forcers
+    h = hashlib.sha256()
+    for g in _leaf_forcing_cases():
+        blue, record = leaf_forcing_zfset(g)
+        assert blue.bit_count() == zero_forcing_number(g)[0]
+        assert record.initial == blue
+        assert record.replay_ok(g)
+        forcers = {a for a, _ in record.steps}
+        assert all(v in forcers for v in bits(blue) if g.degree(v) == 1)
+        h.update(repr((write_graph6(g).decode(), blue)).encode())
+    assert h.hexdigest() == LEAF_FORCING_DIGEST

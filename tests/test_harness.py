@@ -18,6 +18,9 @@ def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(budget_secs=0)
     with pytest.raises(ValueError):
+        # a NaN deadline never expires: time.monotonic() > now + nan is False
+        RunConfig(budget_secs=float("nan"))
+    with pytest.raises(ValueError):
         RunConfig(workers=0)
 
 
@@ -60,11 +63,14 @@ def test_verify_graph_requires_connected():
 
 
 def test_certificate_json_round_trip():
-    cert = verify_graph(cycle_graph(6))
-    line = cert.to_json()
-    back = Certificate.from_json(line)
-    assert back.to_json() == line
-    assert back.z == cert.z and back.bounds == cert.bounds
+    # two non-cubic certificates (phi is None) and a cubic one
+    for g in (cycle_graph(6), path_graph(5), petersen_graph()):
+        cert = verify_graph(g)
+        assert (cert.phi is None) == (g.n != 10)
+        line = cert.to_json()
+        back = Certificate.from_json(line)
+        assert back.to_json() == line
+        assert back == cert
 
 
 def test_certificate_graph6_reparses():
@@ -152,16 +158,19 @@ def test_verify_batch_workers_match_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of the certificate file for every connected cubic graph on 4..12
-# vertices; any change to a certificate, its witness or its order shows here
+# SHA-256 of the certificate file, and of the CSV summary, for every connected
+# cubic graph on 4..12 vertices; any change to a certificate, its witness, a
+# column or the order shows here
 SWEEP_DIGEST = "0f99801905324d04be3a653fdcec0a9a8cc54b4a4d5b484c60822bd0501c5b4f"
+SWEEP_CSV_DIGEST = "dab0fdff97535ffa3ab05fc4ef92c8b2a143baef58bf422f5cced727720b2280"
 
 
 def test_sweep_certificates_match_golden_digest(tmp_path):
-    out = tmp_path / "sweep.jsonl"
+    out, csv = tmp_path / "sweep.jsonl", tmp_path / "sweep.csv"
     graphs = [g for n in range(4, 13, 2) for g in cubic_graphs(n)]
-    verify_batch(graphs, RunConfig(), out_path=str(out))
+    verify_batch(graphs, RunConfig(), out_path=str(out), csv_path=str(csv))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SWEEP_CSV_DIGEST
 
 
 def test_trace_examples():
@@ -202,6 +211,10 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert "violations: 0" in text
     assert "upper-embeddable fraction" in text
     assert out.exists()
+
+    rc = main(["verify", "--enumerate-n", "4", "--budget-secs", "nan"])
+    assert rc == 2
+    assert "budget_secs" in capsys.readouterr().err
 
 
 def test_cli_construct_and_trace(capsys):
