@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .forcing import closure, is_zero_forcing_set, zero_forcing_number
+from .forcing import (_check_deadline, closure, is_zero_forcing_set,
+                      zero_forcing_number)
 from .graphs import (GraphError, bits, classify_degrees, components,
                      connected_components, induced_edge_count, induced_subgraph,
                      is_acyclic, is_complete, is_connected, mask_of,
@@ -287,31 +288,70 @@ def forcing_set_from_decycling(g, s_mask, mis=None):
 # decycling number, embeddability, and decycling partitions
 
 
-def _first_decycling_set(g, size):
+def _first_decycling_set(g, size, deadline=None):
     """First S with ``size`` members, in ``combinations`` order, such that
     g - S is a forest; None if there is none.
+
+    Depth-first over the vertices 0..n-1, taking each before skipping it, so
+    the k-subsets are visited in ``combinations`` order and the first hit is
+    the lexicographically first decycling set.  Two exact prunes cut dead
+    subtrees without reordering them: a skipped vertex can never be taken
+    later, so skipping v is dead when it closes a cycle among the skipped
+    vertices; and deleting a vertex lowers the cyclomatic number m - n + c
+    of g - chosen by at most max_degree - 1, so a node is dead when that
+    number exceeds (max_degree - 1) times the picks left.  A hit is a node
+    with no picks left that passes the second prune, i.e. a forest.
+    ``_check_deadline(deadline, "decycling")`` runs once per search node.
 
     Counting identity: on connected cubic g with |S| = k, g - S has
     3n/2 - 3k + e(S) edges, and as a forest with c components n - k - c, so
     e(S) + c = 2k - n/2.  At k = (n+2)/4 every hit is independent with a
     tree complement; at k = (n+4)/4 every hit meets one two-face clause.
     """
-    for combo in itertools.combinations(range(g.n), size):
-        s = mask_of(combo)
-        if is_acyclic(g, g.full_mask & ~s):
-            return s
-    return None
+    if size == 0:
+        return 0 if is_acyclic(g) else None
+    slack = max(classify_degrees(g).max_degree - 1, 0)
+    full = g.full_mask
+
+    def search(v, chosen, edges, picks):
+        # vertices below v are decided; g - chosen has ``edges`` edges
+        skipped = (1 << v) - 1 & ~chosen
+        for u in range(v, g.n - picks + 1):
+            _check_deadline(deadline, "decycling")
+            taken = chosen | 1 << u
+            rest = full & ~taken
+            left = edges - (g.adj[u] & rest).bit_count()
+            if (left - rest.bit_count() + len(components(g, rest))
+                    <= slack * (picks - 1)):
+                if picks == 1:
+                    return taken
+                found = search(u + 1, taken, left, picks - 1)
+                if found is not None:
+                    return found
+            # skipped was a forest: u closes a cycle only through two
+            # skipped neighbours
+            skipped |= 1 << u
+            if ((g.adj[u] & skipped).bit_count() > 1
+                    and not is_acyclic(g, skipped)):
+                return None
+        return None
+
+    return search(0, 0, g.edge_count(), size)
 
 
-def decycling_number(g):
-    """Minimum decycling (feedback vertex) set by ascending-size subset search,
-    from ceil((m - n + 1) / (max_degree - 1)) up: removing phi vertices deletes
-    at most max_degree * phi edges and leaves a forest on n - phi vertices."""
+def decycling_number(g, deadline=None):
+    """Minimum decycling (feedback vertex) set: the first hit of
+    ``_first_decycling_set`` over ascending sizes, from
+    ceil((m - n + 1) / (max_degree - 1)) up (removing phi vertices deletes at
+    most max_degree * phi edges and leaves a forest on n - phi vertices), so
+    the witness is the lexicographically first minimum decycling set.  Raises
+    ``SolverBudgetExceeded`` once ``deadline`` (a ``time.monotonic`` value)
+    has passed, checked at every search node."""
     if is_acyclic(g):
         return 0, 0
     slack = classify_degrees(g).max_degree - 1
     for size in range(max(1, -(-(g.edge_count() - g.n + 1) // slack)), g.n):
-        s = _first_decycling_set(g, size)
+        s = _first_decycling_set(g, size, deadline)
         if s is not None:
             return size, s
     raise AssertionError("unreachable: one remaining vertex is a forest")

@@ -85,8 +85,11 @@ CSV_COLUMNS = SCALAR_FIELDS + ("violations",)
 def verify_graph(g, cfg=None):
     """Certificate with exact Z and alpha plus every applicable bound check.
 
-    A solver that runs past the per-solver budget is listed in
-    ``incomplete``; the remaining checks still run.
+    A stage that runs past the per-stage budget (Z, alpha or, on cubic
+    graphs, the decycling search) is listed in ``incomplete``; the
+    remaining checks still run.  Without Z or alpha no bound is checked;
+    without the decycling search phi and the face flags stay None and the
+    one-face and two-face rows are left out.
     """
     if not is_connected(g):
         raise GraphError("verify_graph requires a connected graph")
@@ -123,16 +126,17 @@ def verify_graph(g, cfg=None):
                                       k4 or z <= alpha + 1, 0,
                                       applicable=not k4))
             # one search gives phi and its witness; the partitions label it
-            decycling = decycling_number(g)
-            phi = decycling[0]
-            part1 = find_partition_one_face(g, decycling)
-            part2 = find_partition_two_face(g, decycling)
-            part = part1 or part2
-            one, two = part1 is not None, part2 is not None
-            upper = part is not None
+            decycling = timed("decycling", decycling_number)
+            if decycling:
+                phi = decycling[0]
+                part1 = find_partition_one_face(g, decycling)
+                part2 = find_partition_two_face(g, decycling)
+                one, two = part1 is not None, part2 is not None
+                upper = one or two
             if upper:
                 name, value = (("one_face_forcing", alpha + 1) if one
                                else ("two_face_forcing", alpha + 2))
+                part = part1 or part2
                 rep = forcing_set_from_decycling(g, part.s_mask, alpha_result)
                 ok = rep.holds and rep.witness.bit_count() <= value
                 bounds.append(BoundReport(name, value, ok, rep.witness))

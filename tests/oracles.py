@@ -96,6 +96,31 @@ def brute_is_acyclic(g):
     return True
 
 
+def first_decycling_set_by_combinations(g, size):
+    """First S with ``size`` members, in ``itertools.combinations`` order,
+    such that g - S is a forest (union-find finds no edge closing a cycle);
+    None if there is none.  Returned as a vertex mask."""
+    def find(root, v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    edges = edges_of(g)
+    for combo in itertools.combinations(range(g.n), size):
+        removed = set(combo)
+        root = list(range(g.n))
+        for u, v in edges:
+            if u in removed or v in removed:
+                continue
+            ru, rv = find(root, u), find(root, v)
+            if ru == rv:
+                break
+            root[ru] = rv
+        else:
+            return sum(1 << v for v in combo)
+    return None
+
+
 def brute_decycling(g):
     for size in range(0, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,9 @@ from zfalpha.bounds import (_first_decycling_set, _linear_forest_paths,
                             find_partition_one_face, find_partition_two_face,
                             forcing_set_from_decycling, minimum_path_cover,
                             path_complement_mis)
-from zfalpha.forcing import is_zero_forcing_set, zero_forcing_number
+from zfalpha.forcing import (SolverBudgetExceeded, is_zero_forcing_set,
+                             zero_forcing_number)
+from zfalpha.gadgets import build_tight_graph, generate_31_trees
 from zfalpha.graphs import (Graph, GraphError, bits, classify_degrees,
                             complete_bipartite, complete_graph, components,
                             connected_components, cycle_graph, disjoint_union,
@@ -21,6 +24,7 @@ from zfalpha.independence import (is_independent, is_near_independent,
                                   maximum_independent_set)
 
 from oracles import (brute_decycling, cubic_graphs,
+                     first_decycling_set_by_combinations,
                      random_connected_bounded_degree_edges, random_cubic_edges,
                      random_edge_graph, random_forest_edges)
 
@@ -53,6 +57,27 @@ def test_linear_forest_paths_match_component_walks():
         expected = [path_order(adj, comp)
                     for comp in components(Graph(n, tuple(adj)), within)]
         assert _linear_forest_paths(adj, within) == expected
+
+
+# SHA-256 of repr(minimum_path_cover(f)) over the forests below: it pins the
+# greedy's paths, not just their count.
+PATH_COVER_DIGEST = "3bed3f105d565dd7c3cc8af1f22b706d8159d9b30165b70ee86fe7a4b0c74708"
+
+
+def test_path_cover_matches_golden_digest():
+    rng = random.Random(4040)
+    forests = []
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        perm = rng.sample(range(n), n)
+        edges = random_forest_edges(n, rng, keep=rng.uniform(0.6, 1.0))
+        forests.append(graph_from_edges(n, [(perm[a], perm[b])
+                                            for a, b in edges]))
+    forests += [star_graph(leaves) for leaves in range(1, 20)]
+    h = hashlib.sha256()
+    for f in forests:
+        h.update(repr(minimum_path_cover(f)).encode() + b"\n")
+    assert h.hexdigest() == PATH_COVER_DIGEST
 
 
 def test_path_cover_rejects_cycles():
@@ -206,6 +231,43 @@ def test_decycling_matches_oracle():
         rest, _ = induced_subgraph(g, g.full_mask & ~witness)
         assert is_acyclic(rest)
         assert witness.bit_count() == phi
+
+
+def test_first_decycling_set_matches_combinations_order():
+    graphs = [g for n in range(4, 13, 2) for g in cubic_graphs(n)]
+    # G_T on 16 and 22 vertices, phi = 6 and 8
+    graphs += [build_tight_graph(generate_31_trees(leaves)[0]).result
+               for leaves in (4, 6)]
+    for g in graphs:
+        phi, _ = decycling_number(g)
+        for size in (phi - 1, phi, phi + 1):
+            got = _first_decycling_set(g, size)
+            assert got == first_decycling_set_by_combinations(g, size)
+            assert (got is None) == (size < phi)
+    rng = random.Random(4)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        g = graph_from_edges(n, random_connected_bounded_degree_edges(
+            n, 4, rng.randint(0, 6), rng))
+        for size in range(n + 1):
+            assert (_first_decycling_set(g, size)
+                    == first_decycling_set_by_combinations(g, size)), (g, size)
+    # G_T on 22 and 28 vertices: pinned, since the combinations scan takes
+    # seconds and minutes on them
+    gt = [build_tight_graph(t).result for leaves in (6, 8)
+          for t in generate_31_trees(leaves)]
+    assert [g.n for g in gt] == [22, 28]
+    assert decycling_number(gt[0]) == (8, 1217700)
+    assert decycling_number(gt[1]) == (10, 77932872)
+
+
+def test_decycling_deadline():
+    with pytest.raises(SolverBudgetExceeded):
+        decycling_number(petersen_graph(), time.monotonic() - 1)
+    # acyclic input needs no search
+    assert decycling_number(path_graph(5), time.monotonic() - 1) == (0, 0)
+    assert decycling_number(petersen_graph(), time.monotonic() + 60) == \
+        decycling_number(petersen_graph())
 
 
 def test_embeddability_known_graphs():

@@ -101,9 +101,9 @@ def test_decycling_searched_once_per_certificate(monkeypatch):
     search = bounds._first_decycling_set
     sizes = []
 
-    def counted(g, size):
+    def counted(g, size, *args):
         sizes.append(size)
-        return search(g, size)
+        return search(g, size, *args)
 
     monkeypatch.setattr(bounds, "_first_decycling_set", counted)
     # phi = 4 on this 10-vertex graph: not upper-embeddable, so the scan
@@ -115,6 +115,27 @@ def test_decycling_searched_once_per_certificate(monkeypatch):
             sizes.clear()
             run(g)
             assert sizes == want, (g6, run.__name__)
+
+
+def test_decycling_overrun_recorded(monkeypatch):
+    import time
+    from zfalpha import bounds, harness
+
+    def overrun(g, deadline):
+        return bounds.decycling_number(g, time.monotonic() - 1)
+
+    g = petersen_graph()
+    full = verify_graph(g)
+    monkeypatch.setattr(harness, "decycling_number", overrun)
+    cert = verify_graph(g)
+    assert cert.incomplete == ("decycling",)
+    assert (cert.z, cert.alpha) == (full.z, full.alpha)
+    assert (cert.phi, cert.upper_embeddable, cert.one_face,
+            cert.two_face) == (None, None, None, None)
+    assert full.one_face and "one_face_forcing" in [
+        b.bound_name for b in full.bounds]
+    assert cert.bounds == tuple(b for b in full.bounds
+                                if b.bound_name != "one_face_forcing")
 
 
 def test_budget_exhaustion_recorded(tmp_path):
