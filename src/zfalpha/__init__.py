@@ -8,11 +8,11 @@ batch verification harness.
 """
 
 from .bounds import (BoundReport, DecyclingPartition, EmbeddabilityReport,
-                     check_small_z_bounds, check_three_alpha_bound,
-                     decycling_number, degree_alpha_construction,
-                     embeddability_report, find_partition_one_face,
-                     find_partition_two_face, forcing_set_from_decycling,
-                     minimum_path_cover, path_complement_mis)
+                     check_small_z_bounds, decycling_number,
+                     degree_alpha_construction, embeddability_report,
+                     find_partition_one_face, find_partition_two_face,
+                     forcing_set_from_decycling, minimum_path_cover,
+                     path_complement_mis)
 from .enumeration import enumerate_connected_cubic
 from .forcing import (ForcingRecord, NotForcingSetError, SolverBudgetExceeded,
                       chronological_forces, closure, enumerate_minimal_forts,

@@ -116,7 +116,10 @@ def path_complement_mis(g, mis=None):
     Starts from an exact maximum independent set (``mis``, g's
     ``IndependenceCertificate``, computed when not given) and repeatedly
     applies the alternating-path swaps, each of which strictly reduces the
-    number of cycles in the complement.
+    number of cycles in the complement.  With S = A, g - S is a linear forest
+    with c = 2 alpha - n/2 paths and beta(G[A]) = 0, so
+    ``forcing_set_from_decycling(g, A)`` gives a forcing set of
+    alpha + c = 3 alpha - n/2 vertices.
     """
     profile = classify_degrees(g)
     if not profile.is_cubic:
@@ -414,19 +417,6 @@ def embeddability_report(g):
 
 # ---------------------------------------------------------------------------
 # bound checks
-
-
-def check_three_alpha_bound(g):
-    """Z <= 3*alpha - n/2 for cubic graphs without K4 components."""
-    mis = maximum_independent_set(g)
-    a_mask = path_complement_mis(g, mis)
-    s_mask = g.full_mask & ~a_mask
-    construction = forcing_set_from_decycling(g, s_mask, mis)
-    alpha = a_mask.bit_count()
-    value = 3 * alpha - g.n // 2
-    z, _ = zero_forcing_number(g)
-    holds = z <= value and construction.holds
-    return BoundReport("three_alpha_minus_half_n", value, holds, construction.witness)
 
 
 def _degree_alpha_set(g, a_mask=None):

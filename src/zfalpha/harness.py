@@ -89,10 +89,12 @@ def verify_graph(g, cfg=None):
     graphs, the decycling search) is listed in ``incomplete``; the
     remaining checks still run.  Without Z or alpha no bound is checked;
     without the decycling search phi and the face flags stay None and the
-    one-face and two-face rows are left out.
+    one-face and two-face rows are left out.  A graph that graph6 cannot
+    encode (n > 62) raises ``Graph6Error`` before any solver runs.
     """
     if not is_connected(g):
         raise GraphError("verify_graph requires a connected graph")
+    graph6 = write_graph6(g).decode("ascii")  # n > 62 fails before any solver
     cfg = cfg or RunConfig()
     timings = {}
     incomplete = []
@@ -107,6 +109,13 @@ def verify_graph(g, cfg=None):
             return None
         finally:
             timings[name] = time.perf_counter() - start
+
+    def construction_row(name, value, s_mask):
+        # the decycling construction on S, checked against the row's value
+        rep = forcing_set_from_decycling(g, s_mask, alpha_result)
+        return BoundReport(name, value,
+                           rep.holds and rep.witness.bit_count() <= value,
+                           rep.witness)
 
     z_result = timed("zero_forcing", zero_forcing_number)
     alpha_result = timed("independence", maximum_independent_set)
@@ -129,25 +138,19 @@ def verify_graph(g, cfg=None):
             decycling = timed("decycling", decycling_number)
             if decycling:
                 phi = decycling[0]
-                part1 = find_partition_one_face(g, decycling)
-                part2 = find_partition_two_face(g, decycling)
-                one, two = part1 is not None, part2 is not None
+                one = find_partition_one_face(g, decycling) is not None
+                two = find_partition_two_face(g, decycling) is not None
                 upper = one or two
             if upper:
                 name, value = (("one_face_forcing", alpha + 1) if one
                                else ("two_face_forcing", alpha + 2))
-                part = part1 or part2
-                rep = forcing_set_from_decycling(g, part.s_mask, alpha_result)
-                ok = rep.holds and rep.witness.bit_count() <= value
-                bounds.append(BoundReport(name, value, ok, rep.witness))
+                bounds.append(construction_row(name, value, decycling[1]))
             if not k4:
-                a_mask = path_complement_mis(g, alpha_result)
-                rep = forcing_set_from_decycling(g, g.full_mask & ~a_mask,
-                                                 alpha_result)
-                value = 3 * alpha - g.n // 2
-                ok = rep.holds and z <= value
-                bounds.append(BoundReport("three_alpha_minus_half_n", value,
-                                          ok, rep.witness))
+                # S = A: g - A is a linear forest with c = 2 alpha - n/2
+                # paths and beta(G[A]) = 0, so alpha + beta + c = 3 alpha - n/2
+                bounds.append(construction_row(
+                    "three_alpha_minus_half_n", 3 * alpha - g.n // 2,
+                    path_complement_mis(g, alpha_result)))
 
         if profile.is_subcubic and not k4:
             bounds.append(BoundReport(
@@ -160,7 +163,7 @@ def verify_graph(g, cfg=None):
             bounds.append(degree_alpha_construction(g, alpha_result))
 
     return Certificate(
-        graph6=write_graph6(g).decode("ascii"), n=g.n, z=z, alpha=alpha, phi=phi,
+        graph6=graph6, n=g.n, z=z, alpha=alpha, phi=phi,
         upper_embeddable=upper, one_face=one, two_face=two,
         claw_center_count=claws, bounds=tuple(bounds),
         incomplete=tuple(incomplete), timings=timings)

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from zfalpha.bounds import (_first_decycling_set, _linear_forest_paths,
-                            check_small_z_bounds,
-                            check_three_alpha_bound, decycling_number,
+                            check_small_z_bounds, decycling_number,
                             degree_alpha_construction, embeddability_report,
                             find_partition_one_face, find_partition_two_face,
                             forcing_set_from_decycling, minimum_path_cover,
@@ -319,15 +318,6 @@ def test_partition_structure():
 
 # ---------------------------------------------------------------------------
 # the headline bounds
-
-
-def test_three_alpha_bound_small_cubic():
-    for n in (6, 8):
-        for g in cubic_graphs(n):
-            rep = check_three_alpha_bound(g)
-            assert rep.holds
-            z, _ = zero_forcing_number(g)
-            assert z <= rep.bound_value
 
 
 def test_degree_alpha_construction():

@@ -1,17 +1,22 @@
 import hashlib
+import importlib
 import json
+import os
+import random
 
 import pytest
 
 from zfalpha.cli import main
-from zfalpha.graphs import (GraphError, complete_bipartite, complete_graph,
-                            cycle_graph, disjoint_union, graph_from_edges,
-                            parse_graph6, path_graph, petersen_graph,
-                            write_graph6)
+from zfalpha.forcing import is_zero_forcing_set
+from zfalpha.gadgets import build_tight_graph, generate_31_trees
+from zfalpha.graphs import (Graph6Error, GraphError, complete_bipartite,
+                            complete_graph, cycle_graph, disjoint_union,
+                            graph_from_edges, parse_graph6, path_graph,
+                            petersen_graph, write_graph6)
 from zfalpha.harness import (Certificate, RunConfig, trace_forcing,
                              verify_batch, verify_graph)
 
-from oracles import cubic_graphs
+from oracles import cubic_graphs, random_cubic_edges
 
 
 def test_runconfig_validation():
@@ -62,6 +67,35 @@ def test_verify_graph_requires_connected():
         verify_graph(disjoint_union(path_graph(2), path_graph(2)))
 
 
+def test_verify_graph_rejects_n_over_62_before_solving(monkeypatch):
+    from zfalpha import harness
+
+    def never(*args):
+        raise AssertionError("zero_forcing_number ran")
+
+    monkeypatch.setattr(harness, "zero_forcing_number", never)
+    with pytest.raises(Graph6Error):
+        verify_graph(cycle_graph(63))
+
+
+def test_three_alpha_witness_is_small_forcing_set():
+    # the row runs the decycling construction on S = A: A plus one endpoint
+    # of each of the 2 alpha - n/2 paths of g - A (K4, n = 4, has no row)
+    rng = random.Random(1214)
+    graphs = [g for n in range(6, 13, 2) for g in cubic_graphs(n)]
+    graphs += [graph_from_edges(n, random_cubic_edges(n, rng))
+               for n in range(14, 25, 2) for _ in range(3)]
+    graphs += [build_tight_graph(t).result for k in (4, 6, 8)
+               for t in generate_31_trees(k)]
+    for g in graphs:
+        cert = verify_graph(g)
+        (row,) = [b for b in cert.bounds
+                  if b.bound_name == "three_alpha_minus_half_n"]
+        assert row.bound_value == 3 * cert.alpha - g.n // 2
+        assert row.holds and is_zero_forcing_set(g, row.witness)
+        assert row.witness.bit_count() <= row.bound_value, write_graph6(g)
+
+
 def test_certificate_json_round_trip():
     # two non-cubic certificates (phi is None) and a cubic one
     for g in (cycle_graph(6), path_graph(5), petersen_graph()):
@@ -92,7 +126,8 @@ def test_alpha_solved_once_per_certificate(monkeypatch):
     g = petersen_graph()
     cert = verify_graph(g)
     assert cert.one_face and not cert.violations
-    # alpha on g once; beta on G[S] for the partition and the path complement
+    # alpha on g once; beta on G[S] for the face row and on G[A] for the
+    # three-alpha row
     assert sizes.count(g.n) == 1 and len(sizes) == 3
 
 
@@ -182,7 +217,7 @@ def test_verify_batch_workers_match_serial(tmp_path):
 # SHA-256 of the certificate file, and of the CSV summary, for every connected
 # cubic graph on 4..12 vertices; any change to a certificate, its witness, a
 # column or the order shows here
-SWEEP_DIGEST = "0f99801905324d04be3a653fdcec0a9a8cc54b4a4d5b484c60822bd0501c5b4f"
+SWEEP_DIGEST = "9b46b046bda5eddd95d2305f5429fe7b8b1ea56935cd8db4d7435124d5c0798a"
 SWEEP_CSV_DIGEST = "dab0fdff97535ffa3ab05fc4ef92c8b2a143baef58bf422f5cced727720b2280"
 
 
@@ -268,3 +303,18 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["verify"])  # missing required source
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+
+
+def test_bench_hooked_names_exist(monkeypatch):
+    # bench/tracing.py rebinds these imported names; a refactor that drops one
+    # would crash every traced benchmark run
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    monkeypatch.syspath_prepend(bench)
+    tracing = importlib.import_module("tracing")
+    for module, name, _ in tracing.SPAN_HOOKS + tracing.COUNT_HOOKS:
+        assert hasattr(module, name), (module.__name__, name)
