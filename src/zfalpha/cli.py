@@ -3,7 +3,7 @@
 Subcommands: compute (invariants of one or more graphs), verify (batch bound
 checking with certificates), construct (gadget/family builders), trace
 (forcing traces).  Exit codes: 0 success / no violations, 1 at least one
-bound violation, 2 usage or input errors.
+bound violation, 2 usage, input or I/O errors.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from .enumeration import enumerate_connected_cubic
 from .forcing import enumerate_minimal_forts, zero_forcing_number
 from .gadgets import (build_tight_graph, cubify, generate_31_trees,
                       replace_claw_center, replace_deg1, replace_deg2)
-from .graphs import Graph6Error, GraphError, bits, classify_degrees, parse_graph6, \
-    write_graph6
+from .graphs import (Graph6Error, bits, classify_degrees, parse_graph6,
+                     write_graph6)
 from .harness import RunConfig, trace_forcing, verify_batch
 from .independence import maximum_independent_set
 
@@ -35,12 +35,15 @@ def _load_graphs(source):
         with open(source) as fh:
             lines = [ln.strip() for ln in fh]
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {source}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {source}: {exc.strerror}") from exc
     graphs = []
-    for ln in lines:
+    for number, ln in enumerate(lines, 1):
         if not ln or ln.startswith("#"):
             continue
-        graphs.append(parse_graph6(ln))
+        try:
+            graphs.append(parse_graph6(ln))
+        except Graph6Error as exc:
+            raise Graph6Error(f"{source}:{number}: {exc}") from exc
     return graphs
 
 
@@ -108,7 +111,7 @@ def _cmd_construct(args):
             print(write_graph6(cubify(g).result).decode("ascii"))
     else:
         if args.input is None or args.vertex is None:
-            raise SystemExit("error: --gadget requires --input and --vertex")
+            raise ValueError("--gadget requires --input and --vertex")
         builder = {"g1": replace_deg1, "g2": replace_deg2,
                    "g3": replace_claw_center}[args.gadget]
         for g in _load_graphs(args.input):
@@ -123,7 +126,7 @@ def _cmd_trace(args):
         for tok in args.blue.split(","):
             v = int(tok)
             if not 0 <= v < g.n:
-                raise SystemExit(f"error: vertex {v} out of range for n={g.n}")
+                raise ValueError(f"vertex {v} out of range for n={g.n}")
             blue |= 1 << v
     print(trace_forcing(g, blue, dot=args.dot))
     return 0
@@ -154,7 +157,8 @@ def build_parser():
     p.add_argument("--out", help="certificate output path (JSON lines)")
     p.add_argument("--csv", help="optional CSV projection of scalar columns")
     p.add_argument("--budget-secs", type=float, default=60.0,
-                   help="per-solver time budget (default 60)")
+                   help="time budget in seconds for each of the Z, alpha and "
+                        "decycling stages of a graph (default 60)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes")
     p.set_defaults(run=_cmd_verify)
@@ -182,22 +186,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        raise SystemExit(2 if exc.code not in (0,) else 0)
+    args = build_parser().parse_args(argv)  # usage errors exit 2
     try:
         return args.run(args)
-    except (GraphError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # GraphError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

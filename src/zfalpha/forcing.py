@@ -186,21 +186,38 @@ def _shrink_fort(g, members):
     return members
 
 
-def enumerate_minimal_forts(g, cap):
-    """Up to ``cap`` inclusion-minimal forts, by subset search in ascending size."""
-    if cap < 1:
+def enumerate_minimal_forts(g, cap=None, max_size=None):
+    """Inclusion-minimal forts by subset search in ascending size: at most
+    ``cap`` of them, on at most ``max_size`` vertices (None: no limit)."""
+    if cap is not None and cap < 1:
         raise GraphError("cap must be at least 1")
     found = []
-    for size in range(1, g.n + 1):
+    largest = g.n if max_size is None else min(max_size, g.n)
+    for size in range(1, largest + 1):
         for combo in itertools.combinations(range(g.n), size):
             members = mask_of(combo)
             if any(f & ~members == 0 for f in found):
                 continue
             if is_fort(g, members):
                 found.append(members)
-                if len(found) >= cap:
+                if len(found) == cap:
                     return found
     return found
+
+
+def _packing(forts, limit=None):
+    """Size of the greedy packing of pairwise disjoint forts, taken in list
+    order: a lower bound on every set that hits them all.  Counting stops
+    once the size exceeds ``limit``."""
+    used = 0
+    size = 0
+    for f in forts:
+        if not f & used:
+            used |= f
+            size += 1
+            if limit is not None and size > limit:
+                break
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +247,6 @@ def _greedy_forcing_set(g, forbidden=0):
     return blue
 
 
-def _seed_forts(g):
-    """Every fort on one or two vertices and, for n <= 40, every minimal fort
-    on three: a cheap strong start for the hitting-set lower bound.  A pair
-    of isolated vertices is a fort but not a minimal one, since each of its
-    members is a fort alone; it is seeded all the same."""
-    forts = []
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            forts.append(1 << v)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            pair = (1 << u) | (1 << v)
-            if is_fort(g, pair):
-                forts.append(pair)
-    if g.n <= 40:
-        for combo in itertools.combinations(range(g.n), 3):
-            triple = mask_of(combo)
-            if any(f & ~triple == 0 for f in forts):
-                continue
-            if is_fort(g, triple):
-                forts.append(triple)
-    return forts
-
-
 def _solve_exact(g, forbidden=0, deadline=None):
     """Minimum zero forcing set avoiding ``forbidden``; returns (witness, forts).
 
@@ -264,17 +257,19 @@ def _solve_exact(g, forbidden=0, deadline=None):
     upper-bound witness avoids ``forbidden`` and forces, so it hits every
     fort: no fort lies inside ``forbidden`` and no branch set is empty.
 
-    ``forts`` is kept in generation order (the seeds sorted by size, then
-    value).  A node sees its unhit forts ordered by size, ties in generation
-    order; it builds that list from its parent's, filtered by the one vertex
-    added, plus the forts generated since the parent's list was built.
+    The seeds are the minimal forts on at most three vertices (two when
+    n > 40), from ``enumerate_minimal_forts``.  ``forts`` is kept in
+    generation order (the seeds sorted by size, then value).  A node sees
+    its unhit forts ordered by size, ties in generation order; it builds
+    that list from its parent's, filtered by the one vertex added, plus the
+    forts generated since the parent's list was built.
     """
     if g.n == 0:
         return 0, []
     full = g.full_mask
     allowed = full & ~forbidden
     ub_witness = _greedy_forcing_set(g, forbidden)
-    forts = _seed_forts(g)
+    forts = enumerate_minimal_forts(g, max_size=3 if g.n <= 40 else 2)
     if not forts:
         forts = [_shrink_fort(g, full)]
     forts.sort(key=lambda f: (f.bit_count(), f))
@@ -300,16 +295,9 @@ def _solve_exact(g, forbidden=0, deadline=None):
                 branch &= allowed
             else:
                 branch = unhit[0]
-            # greedy disjoint-fort packing, early exit once it exceeds budget
-            packing_used = 0
-            packing = 0
-            for f in unhit:
-                if not f & packing_used:
-                    packing_used |= f
-                    packing += 1
-                    if packing > budget:
-                        seen[chosen] = budget
-                        return None
+            if _packing(unhit, budget) > budget:
+                seen[chosen] = budget
+                return None
         else:
             closed = closure(g, chosen)
             if closed == full:
@@ -327,14 +315,8 @@ def _solve_exact(g, forbidden=0, deadline=None):
         seen[chosen] = budget
         return None
 
-    packing_used = 0
-    lower = 0
-    for f in forts:
-        if not f & packing_used:
-            packing_used |= f
-            lower += 1
     try:
-        for size in range(max(lower, 1), ub_witness.bit_count()):
+        for size in range(max(_packing(forts), 1), ub_witness.bit_count()):
             found = dfs(0, size, [], 0)
             if found is not None:
                 return found, forts

@@ -73,6 +73,8 @@ _DEG3_ATTACH = ("v1", "v2", "v3")
 
 
 def _replace_vertex(g, v, labels, internal_edges, attach):
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} is not in the graph (0..{g.n - 1})")
     if g.degree(v) != len(attach):
         raise GraphError(
             f"vertex {v} has degree {g.degree(v)}, gadget expects {len(attach)}")

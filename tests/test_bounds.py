@@ -122,6 +122,36 @@ def test_path_complement_mis_on_all_small_cubic():
             assert classify_degrees(rest).max_degree <= 2
 
 
+# Every cubic graph of the n <= 12 sweep and of the pairing-model graphs of
+# seeds 0-9 and 84815620 (40 each, n = 18 and 20) on which the
+# branch-and-bound maximum independent set leaves a cycle in G - A, except
+# K4, which path_complement_mis rejects.
+SWAP_GRAPHS = (
+    "K}GWOKA?O@_F",
+    "S?_@CO??_?h?L?C?W_AH??X??h@_O?Ca?",
+    "S@C?COa@C?G@G?c??BaCC@GOCAAQ??C_G",
+    "S@M?ADOAk??@_@@??_GCAO@?@GO?@P?CC",
+    "SAA?_K?g?O??GII@G?__HPO?A_CP???oG",
+    "QO__?_@C?G`O@E?oH?e@?S_?_`?",
+    "Qi?GgA@A?@D?D_?E?HD?@?OO?SG",
+    "SD??G?A?eO@?I?OGU??AaOO_CC?GGGB_?",
+    "S__Og?P?@?DOoAOA?I??_@?O_?oQ_?@?o",
+)
+
+
+def test_path_complement_mis_swaps_out_cycles():
+    for g6 in SWAP_GRAPHS:
+        g = parse_graph6(g6)
+        mis = maximum_independent_set(g)
+        rest, _ = induced_subgraph(g, g.full_mask & ~mis.witness)
+        assert not is_acyclic(rest), g6  # so the swap loop runs
+        a = path_complement_mis(g, mis)
+        assert a.bit_count() == mis.alpha and is_independent(g, a), g6
+        rest, _ = induced_subgraph(g, g.full_mask & ~a)
+        assert is_acyclic(rest), g6
+        assert classify_degrees(rest).max_degree <= 2, g6
+
+
 def test_path_complement_mis_rejects_k4_and_noncubic():
     with pytest.raises(GraphError):
         path_complement_mis(complete_graph(4))

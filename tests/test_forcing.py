@@ -7,7 +7,7 @@ import pytest
 from zfalpha import forcing
 from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
                              SolverBudgetExceeded, _is_fort_without,
-                             _shrink_fort, _solve_exact, _wavefront,
+                             _packing, _shrink_fort, _solve_exact, _wavefront,
                              chronological_forces, closure,
                              enumerate_minimal_forts, is_fort,
                              is_zero_forcing_set, min_zfset_avoiding,
@@ -171,6 +171,47 @@ def test_minimal_forts_are_minimal():
             assert smaller == 0 or not is_fort(g, smaller)
 
 
+def test_max_size_keeps_the_smaller_minimal_forts():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        g = random_edge_graph(graph_from_edges, n, rng.random(), rng)
+        every = enumerate_minimal_forts(g)
+        for k in (1, 2, 3):
+            small = [f for f in every if f.bit_count() <= k]
+            assert enumerate_minimal_forts(g, max_size=k) == small
+        assert enumerate_minimal_forts(g, cap=2) == every[:2]
+
+
+def test_packing_counts_disjoint_forts_in_order():
+    forts = [0b0011, 0b0110, 0b1000, 0b10000, 0b100000]
+    assert _packing(forts) == 4  # 0b0110 meets 0b0011
+    assert _packing(forts[1:]) == 4
+    # counting stops at the first size above the limit
+    assert [_packing(forts, limit) for limit in range(5)] == [1, 2, 3, 4, 4]
+    assert _packing([]) == 0
+
+
+def _has_nested_forts(forts):
+    return any(a != b and a & b == a for a in forts for b in forts)
+
+
+def test_exact_search_forts_are_not_nested():
+    # two isolated vertices: {2} and {3} are forts, so {2, 3} is not minimal
+    _, forts = _solve_exact(graph_from_edges(4, [(0, 1)]))
+    assert 0b0100 in forts and 0b1000 in forts
+    assert not _has_nested_forts(forts), forts
+    isolated = [(g, forbidden) for g, forbidden in _search_digest_cases()
+                if sum(1 for v in range(g.n) if not g.adj[v]) >= 2]
+    assert len(isolated) == 14
+    for g, forbidden in isolated:
+        try:
+            _, forts = _solve_exact(g, forbidden)
+        except GraphError:  # no forcing set avoids ``forbidden``
+            continue
+        assert not _has_nested_forts(forts), (g.edges(), forbidden, forts)
+
+
 def test_zero_forcing_known_values():
     assert zero_forcing_number(path_graph(6))[0] == 1
     assert zero_forcing_number(cycle_graph(7))[0] == 2
@@ -232,9 +273,10 @@ def test_budget_exceeded():
 
 # SHA-256 of repr(_solve_exact(...)) -- witness and every fort, in order --
 # over the inputs of test_exact_search_matches_golden_digest.  It pins the
-# search itself: a change to the fort order, the branching or the fort
-# shrinking shows here even where Z and the certificates stay the same.
-SEARCH_DIGEST = "6d2ae22044bf3f926e83d0e968e06619654efe6f92848d5f338b03af536d6f86"
+# search itself: a change to the seed forts (the minimal forts on at most
+# three vertices), the fort order, the branching or the fort shrinking shows
+# here even where Z and the certificates stay the same.
+SEARCH_DIGEST = "72c976e51d0d3bb2821205577f94dda6d01e4d08a1872eea31870b753419824d"
 
 
 def _relabeled(g, rng):

@@ -90,6 +90,19 @@ def test_replace_wrong_degree_rejected():
         replace_deg2(p, 0)
 
 
+def test_replace_vertex_out_of_range_rejected():
+    # in each graph vertex n - 1 has the gadget's degree, so -1 must not
+    # silently stand for it
+    claw = graph_from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    for builder, g in ((replace_deg1, path_graph(3)),
+                       (replace_deg2, cycle_graph(4)),
+                       (replace_claw_center, claw)):
+        builder(g, g.n - 1)
+        for v in (g.n, -1):
+            with pytest.raises(GraphError, match="not in the graph"):
+                builder(g, v)
+
+
 def test_gadget_internal_forts():
     # the degree-2 gadget keeps {a, b} as a fort of the result,
     # the degree-1 gadget keeps {c, d}

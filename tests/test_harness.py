@@ -294,9 +294,36 @@ def test_cli_gadget_requires_input(capsys):
     assert rc == 2
 
 
+def test_cli_gadget_vertex_out_of_range(capsys):
+    for vertex in ("3", "-1"):  # Bg is the path on 3 vertices
+        rc = main(["construct", "--gadget", "g1", "--input", "Bg",
+                   "--vertex", vertex])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"vertex {vertex} is not in the graph" in captured.err
+
+
 def test_cli_bad_graph6(capsys):
     rc = main(["compute", "/nonexistent/file.g6"])
     assert rc == 2
+
+
+def test_cli_malformed_line_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    path.write_text("# a comment line\nBg\nbad!\n")
+    rc = main(["compute", str(path), "--z"])
+    assert rc == 2
+    assert f"error: {path}:3: " in capsys.readouterr().err
+
+
+def test_cli_unwritable_output(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for flag in ("--out", "--csv"):
+        rc = main(["verify", "--enumerate-n", "4", flag,
+                   str(missing / "certs")])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
 
 
 def test_cli_usage_error():
