@@ -77,6 +77,11 @@ def _cmd_compute(args):
 
 
 def _cmd_verify(args):
+    for path in (args.out, args.csv):
+        if path is not None:
+            # report an unwritable path before any work; append mode creates
+            # a missing file but never truncates an existing one
+            open(path, "a").close()
     if args.enumerate_n is not None:
         graphs = enumerate_connected_cubic(args.enumerate_n)
     else:

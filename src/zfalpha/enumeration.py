@@ -55,7 +55,7 @@ def _is_canonical(adj, k):
 
 
 def enumerate_connected_cubic(n):
-    """Yield all non-isomorphic connected cubic graphs on n vertices.
+    """List all non-isomorphic connected cubic graphs on n vertices.
 
     Built-in range is 4 <= n <= 12 (even); larger inputs should come from
     externally generated graph6 files.

@@ -1,9 +1,9 @@
 """Vertex replacement gadgets, 3-1 trees, and the tight cubic family.
 
-Replacements delete a vertex and attach a fixed gadget to its former
-neighbors, matching the neighbors in ascending index order to the gadget's
-attachment points.  Every construction returns a GadgetMap recording the
-vertex correspondence.
+Every construction goes through one primitive, ``_replace``: it deletes
+vertices and joins each one's former neighbors to a fixed gadget's
+attachment points.  Each returns a GadgetMap recording the vertex
+correspondence.
 """
 
 from __future__ import annotations
@@ -52,52 +52,67 @@ def as_31_tree(g):
 
 
 # ---------------------------------------------------------------------------
-# single-vertex replacements
+# vertex replacement
 
 # Degree-1 gadget (seven vertices): K4-e whose degree-2 vertex is itself
 # replaced by K4-e.  Attachment point is v'.
-_DEG1_LABELS = ("v'", "a", "b", "c", "d", "e", "f")
-_DEG1_EDGES = [("v'", "a"), ("v'", "b"), ("a", "b"), ("a", "e"), ("b", "f"),
-               ("c", "e"), ("c", "d"), ("f", "d"), ("c", "f"), ("e", "d")]
-_DEG1_ATTACH = ("v'",)
+_DEG1 = (("v'", "a", "b", "c", "d", "e", "f"),
+         (("v'", "a"), ("v'", "b"), ("a", "b"), ("a", "e"), ("b", "f"),
+          ("c", "e"), ("c", "d"), ("f", "d"), ("c", "f"), ("e", "d")),
+         ("v'",))
 
 # Degree-2 gadget: K4-e on {v1, v2, a, b} with the missing edge v1-v2.
-_DEG2_LABELS = ("v1", "v2", "a", "b")
-_DEG2_EDGES = [("v1", "a"), ("v1", "b"), ("v2", "a"), ("v2", "b"), ("a", "b")]
-_DEG2_ATTACH = ("v1", "v2")
+_DEG2 = (("v1", "v2", "a", "b"),
+         (("v1", "a"), ("v1", "b"), ("v2", "a"), ("v2", "b"), ("a", "b")),
+         ("v1", "v2"))
 
 # Degree-3 gadget: a triangle, one attachment per corner.
-_DEG3_LABELS = ("v1", "v2", "v3")
-_DEG3_EDGES = [("v1", "v2"), ("v2", "v3"), ("v1", "v3")]
-_DEG3_ATTACH = ("v1", "v2", "v3")
+_DEG3 = (("v1", "v2", "v3"),
+         (("v1", "v2"), ("v2", "v3"), ("v1", "v3")),
+         ("v1", "v2", "v3"))
 
 
-def _replace_vertex(g, v, labels, internal_edges, attach):
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} is not in the graph (0..{g.n - 1})")
-    if g.degree(v) != len(attach):
-        raise GraphError(
-            f"vertex {v} has degree {g.degree(v)}, gadget expects {len(attach)}")
-    survivors = [u for u in range(g.n) if u != v]
-    vmap = {u: i for i, u in enumerate(survivors)}
-    base = len(survivors)
-    gpos = {lab: base + i for i, lab in enumerate(labels)}
-    edges = [(vmap[a], vmap[b]) for a, b in g.edges() if v not in (a, b)]
-    edges += [(gpos[a], gpos[b]) for a, b in internal_edges]
-    for u, lab in zip(sorted(bits(g.adj[v])), attach):
-        edges.append((vmap[u], gpos[lab]))
-    result = graph_from_edges(base + len(labels), edges)
-    return GadgetMap(g, result, (v,), vmap, {v: gpos})
+def _replace(g, plan):
+    """Replace each vertex of ``plan`` by its gadget, a triple (labels,
+    internal edges, attachment labels).
+
+    The result equals replacing the vertices one at a time in ascending
+    order, each step keeping the order of the other vertices, appending the
+    gadget's block and joining the vertex's neighbors, in index order, to the
+    attachment points; so its neighbors replaced before it come last.
+    """
+    for v, (_, _, attach) in plan.items():
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} is not in the graph (0..{g.n - 1})")
+        if g.degree(v) != len(attach):
+            raise GraphError(
+                f"vertex {v} has degree {g.degree(v)}, gadget expects {len(attach)}")
+    vmap = {u: i for i, u in enumerate(u for u in range(g.n) if u not in plan)}
+    pos = len(vmap)
+    gadget_vertices, edges, end = {}, [], {}  # end[v, u]: v's gadget vertex at u
+    replaced = tuple(sorted(plan))
+    for v in replaced:
+        labels, internal, attach = plan[v]
+        gpos = {lab: pos + i for i, lab in enumerate(labels)}
+        pos += len(labels)
+        edges += [(gpos[a], gpos[b]) for a, b in internal]
+        neighbors = sorted(bits(g.adj[v]), key=lambda u: (u in gadget_vertices, u))
+        end.update(((v, u), gpos[lab]) for u, lab in zip(neighbors, attach))
+        gadget_vertices[v] = gpos
+    def side(v, u):  # v's end of the edge v-u in the result
+        return end[v, u] if v in plan else vmap[v]
+    edges += [(side(a, b), side(b, a)) for a, b in g.edges()]
+    return GadgetMap(g, graph_from_edges(pos, edges), replaced, vmap, gadget_vertices)
 
 
 def replace_deg1(g, v):
     """Replace a degree-1 vertex; alpha and Z both increase by exactly 2."""
-    return _replace_vertex(g, v, _DEG1_LABELS, _DEG1_EDGES, _DEG1_ATTACH)
+    return _replace(g, {v: _DEG1})
 
 
 def replace_deg2(g, v):
     """Replace a degree-2 vertex with K4-e; alpha and Z both increase by 1."""
-    return _replace_vertex(g, v, _DEG2_LABELS, _DEG2_EDGES, _DEG2_ATTACH)
+    return _replace(g, {v: _DEG2})
 
 
 def replace_claw_center(g, v):
@@ -105,34 +120,18 @@ def replace_claw_center(g, v):
 
     Guarantees alpha(result) <= alpha(g) + 1 and Z(g) <= Z(result).
     """
-    return _replace_vertex(g, v, _DEG3_LABELS, _DEG3_EDGES, _DEG3_ATTACH)
+    return _replace(g, {v: _DEG3})
 
 
 def cubify(g):
-    """Repeatedly replace degree-1 and degree-2 vertices until cubic.
+    """Replace every degree-1 and degree-2 vertex, which makes g cubic.
 
     Preserves alpha - Z exactly and keeps the graph connected.
     """
     if g.n < 2 or not is_connected(g) or not classify_degrees(g).is_subcubic:
         raise GraphError("cubify requires a connected subcubic graph on >= 2 vertices")
-    current = g
-    # original vertex -> current vertex, for vertices not yet replaced
-    fwd = {v: v for v in range(g.n)}
-    replaced = []
-    while True:
-        target = next((v for v in range(current.n) if current.degree(v) < 3), None)
-        if target is None:
-            break
-        step = (replace_deg1 if current.degree(target) == 1 else replace_deg2)(
-            current, target)
-        for orig in list(fwd):
-            if fwd[orig] == target:
-                replaced.append(orig)
-                del fwd[orig]
-            else:
-                fwd[orig] = step.vertex_map[fwd[orig]]
-        current = step.result
-    return GadgetMap(g, current, tuple(replaced), fwd, {})
+    return _replace(g, {v: _DEG1 if g.degree(v) == 1 else _DEG2
+                        for v in range(g.n) if g.degree(v) < 3})
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +192,15 @@ def generate_31_trees(n):
 
 # Leaf gadget: K4 with one subdivided edge; the subdivision vertex is the
 # attachment point l'.
-_LEAF_LABELS = ("l'", "a", "b", "c", "d")
-_LEAF_EDGES = [("l'", "b"), ("b", "d"), ("a", "d"), ("c", "d"), ("a", "l'"),
-               ("c", "a"), ("c", "b")]
+_LEAF = (("l'", "a", "b", "c", "d"),
+         (("l'", "b"), ("b", "d"), ("a", "d"), ("c", "d"), ("a", "l'"),
+          ("c", "a"), ("c", "b")),
+         ("l'",))
 
 
 def build_tight_graph(t):
     """G_T: every leaf of the 3-1 tree replaced by the subdivided-K4 gadget."""
-    tree = t.tree
-    internals = sorted(bits(t.internal))
-    vmap = {v: i for i, v in enumerate(internals)}
-    edges = [(vmap[a], vmap[b]) for a, b in tree.edges()
-             if a in vmap and b in vmap]
-    gadget_vertices = {}
-    pos = len(internals)
-    for leaf in sorted(bits(t.leaves)):
-        gpos = {lab: pos + i for i, lab in enumerate(_LEAF_LABELS)}
-        gadget_vertices[leaf] = gpos
-        edges += [(gpos[a], gpos[b]) for a, b in _LEAF_EDGES]
-        neighbor = next(bits(tree.adj[leaf]))
-        edges.append((vmap[neighbor], gpos["l'"]))
-        pos += len(_LEAF_LABELS)
-    result = graph_from_edges(pos, edges)
-    return GadgetMap(tree, result, tuple(sorted(bits(t.leaves))), vmap,
-                     gadget_vertices)
+    return _replace(t.tree, dict.fromkeys(bits(t.leaves), _LEAF))
 
 
 def check_tight_family(t, deadline=None):

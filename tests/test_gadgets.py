@@ -24,6 +24,12 @@ def _random_connected_subcubic(rng, n):
                                                  rng))
 
 
+def _relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
 def test_replace_deg1_shape_and_deltas():
     rng = random.Random(91)
     checked = 0
@@ -113,6 +119,11 @@ def test_gadget_internal_forts():
     step = replace_deg1(g, 0)
     gpos = step.gadget_vertices[0]
     assert is_fort(step.result, (1 << gpos["c"]) | (1 << gpos["d"]))
+    built = cubify(g)
+    assert sorted(built.gadget_vertices) == [0, 1, 2, 3]
+    for v, gpos in built.gadget_vertices.items():
+        pair = ("c", "d") if g.degree(v) == 1 else ("a", "b")
+        assert is_fort(built.result, (1 << gpos[pair[0]]) | (1 << gpos[pair[1]]))
 
 
 def test_cubify_preserves_gap():
@@ -183,10 +194,7 @@ def test_canonical_form_is_permutation_invariant():
     t = generate_31_trees(8)[0].tree
     base = tree_canonical_form(t)
     for _ in range(10):
-        perm = list(range(t.n))
-        rng.shuffle(perm)
-        h = graph_from_edges(t.n, [(perm[a], perm[b]) for a, b in t.edges()])
-        assert tree_canonical_form(h) == base
+        assert tree_canonical_form(_relabeled(rng, t)) == base
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +223,12 @@ def test_tight_graph_gadget_forts():
 
 
 def test_tight_family_equality_smallest():
-    t = generate_31_trees(4)[0]
-    rep = check_tight_family(t)
-    assert rep.holds
-    assert rep.bound_value == len(minimum_path_cover(t.tree)) + 4 + 2
+    # K2 is a 3-1 tree too: its G_T is two leaf gadgets joined by an edge
+    for t, value in ((as_31_tree(path_graph(2)), 5), (generate_31_trees(4)[0], 8)):
+        rep = check_tight_family(t)
+        assert rep.holds
+        assert rep.bound_value == len(minimum_path_cover(t.tree)) + t.tree.n + 2
+        assert rep.bound_value == value
 
 
 # Census of the connected cubic graphs on n vertices: the histogram of
@@ -247,6 +257,42 @@ def test_tight_cubic_census():
         assert (dict(gaps), found) == (histogram, tight), n
 
 
+# SHA-256 of repr((graph6(result), vertex_map, gadget_vertices)) over
+# _gadget_cases(); it pins the vertex numbering of every construction.
+# cubify's gadget_vertices is hashed as {}.
+GADGET_DIGEST = "5f72763bd41be45e5a0d09947b6f1884a9a878007d54c45ac000ca0f89187e37"
+
+
+def _gadget_cases():
+    """G_T for every 3-1 tree on 4..14 vertices and a seeded relabeling of
+    each; cubify on paths and seeded connected subcubic graphs on 2..12
+    vertices; each single gadget at every vertex of those graphs where it
+    applies."""
+    rng = random.Random(14)
+    for n in range(4, 15, 2):
+        for t in generate_31_trees(n):
+            yield "gt", build_tight_graph(t)
+            yield "gt", build_tight_graph(as_31_tree(_relabeled(rng, t.tree)))
+    for n in range(2, 13):
+        for g in [path_graph(n)] + [
+                _relabeled(rng, _random_connected_subcubic(rng, n))
+                for _ in range(15)]:
+            yield "cubify", cubify(g)
+            for v in range(n):
+                builder = {1: replace_deg1, 2: replace_deg2,
+                           3: replace_claw_center}[g.degree(v)]
+                yield "single", builder(g, v)
+
+
+def test_gadget_digest():
+    h = hashlib.sha256()
+    for kind, built in _gadget_cases():
+        gadgets = {} if kind == "cubify" else built.gadget_vertices
+        h.update(repr((write_graph6(built.result).decode(), built.vertex_map,
+                       gadgets)).encode())
+    assert h.hexdigest() == GADGET_DIGEST
+
+
 # SHA-256 of repr((graph6, B)) for leaf_forcing_zfset over _leaf_forcing_cases();
 # it pins which minimum set is returned, not only its size
 LEAF_FORCING_DIGEST = (
@@ -261,10 +307,7 @@ def _leaf_forcing_cases():
         for t in generate_31_trees(n):
             yield t.tree
             for _ in range(3):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                yield graph_from_edges(
-                    n, [(perm[a], perm[b]) for a, b in t.tree.edges()])
+                yield _relabeled(rng, t.tree)
 
 
 def test_leaf_forcing_zfset():

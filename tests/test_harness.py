@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from zfalpha import cli, gadgets, harness
 from zfalpha.cli import main
 from zfalpha.forcing import is_zero_forcing_set
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
@@ -317,13 +318,26 @@ def test_cli_malformed_line_names_file_and_line(tmp_path, capsys):
     assert f"error: {path}:3: " in capsys.readouterr().err
 
 
-def test_cli_unwritable_output(tmp_path, capsys):
+def test_cli_unwritable_output(tmp_path, capsys, monkeypatch):
+    # the output paths are checked before any graph is enumerated or verified
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((cli, "enumerate_connected_cubic"),
+                         (harness, "verify_graph")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     missing = tmp_path / "missing"
     for flag in ("--out", "--csv"):
         rc = main(["verify", "--enumerate-n", "4", flag,
                    str(missing / "certs")])
         assert rc == 2
         assert "error: " in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_usage_error():
@@ -336,12 +350,37 @@ def test_cli_usage_error():
 # benchmark hooks
 
 
-def test_bench_hooked_names_exist(monkeypatch):
-    # bench/tracing.py rebinds these imported names; a refactor that drops one
-    # would crash every traced benchmark run
+def _bench_tracing(monkeypatch):
     bench = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "bench")
     monkeypatch.syspath_prepend(bench)
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_bench_hooked_names_exist(monkeypatch):
+    # bench/tracing.py rebinds these imported names; a refactor that drops one
+    # would crash every traced benchmark run
+    tracing = _bench_tracing(monkeypatch)
     for module, name, _ in tracing.SPAN_HOOKS + tracing.COUNT_HOOKS:
         assert hasattr(module, name), (module.__name__, name)
+
+
+def test_traced_batch_matches_untraced(tmp_path, monkeypatch):
+    # the tracer's file proxy has only write, __enter__ and __exit__, and its
+    # spans come from the module globals it rebinds, so a harness that calls
+    # another file method, or gadgets that stop calling a hooked name, show here
+    tracing = _bench_tracing(monkeypatch)
+    graphs = [g for n in (4, 6, 8) for g in cubic_graphs(n)]
+
+    def run(name):
+        out, csv = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+        verify_batch(graphs, out_path=str(out), csv_path=str(csv))
+        return out.read_bytes(), csv.read_bytes()
+
+    plain = run("plain")
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert run("traced") == plain
+        gadgets.check_tight_family(generate_31_trees(4)[0])
+    names = {sid: name for sid, name, *_ in tracer.spans}
+    assert ("gadgets.build_tight_graph", "gadgets.check_tight_family") in {
+        (name, names.get(parent)) for _, name, _, _, parent, _ in tracer.spans}
