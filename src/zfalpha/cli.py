@@ -77,6 +77,8 @@ def _cmd_compute(args):
 
 
 def _cmd_verify(args):
+    # bad options are reported before any file is made or graph enumerated
+    cfg = RunConfig(budget_secs=args.budget_secs, workers=args.workers)
     for path in (args.out, args.csv):
         if path is not None:
             # report an unwritable path before any work; append mode creates
@@ -86,7 +88,6 @@ def _cmd_verify(args):
         graphs = enumerate_connected_cubic(args.enumerate_n)
     else:
         graphs = _load_graphs(args.input)
-    cfg = RunConfig(budget_secs=args.budget_secs, workers=args.workers)
     summary, _ = verify_batch(graphs, cfg, out_path=args.out, csv_path=args.csv)
     print(f"graphs checked: {summary.graphs_checked}")
     print(f"violations: {len(summary.violation_certs)}")

@@ -9,10 +9,12 @@ On cubic input ``zero_forcing_number`` runs the closure dynamic program
 ("wavefront") of Brimkov, Fast & Hicks (EJOR 2019).  Its states are closed
 blue sets, expanded in order of cost.  One move picks a vertex v, makes v
 and all but one of its white neighbours blue (v then forces the last one)
-and takes the closure; the first time the full set is reached, its cost
-is Z.  The number of states can grow exponentially on graphs with many
-leaves (a star, a tree), so every other graph, and every search that must
-avoid given vertices, uses the fort solver.
+and takes the closure.  The search stops at the first popped state whose
+cost + 1 reaches the full set's best cost: every move costs at least 1, so
+no later move can lower that cost, and it is Z.  The number of states can
+grow exponentially on graphs with many leaves (a star, a tree), so every
+other graph, and every search that must avoid given vertices, uses the
+fort solver.
 
 The fort solver runs an implicit hitting-set loop over forts: every zero
 forcing set must intersect every fort, so a minimum hitting set of any fort
@@ -341,6 +343,13 @@ def _wavefront(g, deadline=None):
     Each state keeps the ``(parent, added)`` move that first reached it at
     its least cost, and the witness is the union of the ``added`` masks on
     the path to the full set.
+
+    The search stops at the first popped state whose cost + 1 reaches the
+    full set's best cost.  Every move costs at least 1 and only a strictly
+    cheaper move replaces a state's record, so no later move can change the
+    full set's record; the states on its path were all popped already, so
+    theirs are final too.  The witness is therefore the one that expanding
+    until the full set itself is popped would give.
     """
     full = g.full_mask
     adj = g.adj
@@ -352,10 +361,10 @@ def _wavefront(g, deadline=None):
         if cost > best[blue]:
             continue  # a cheaper entry for this state was expanded already
         _check_deadline(deadline, "zero-forcing")
-        if blue == full:
-            witness = 0
-            while blue:
-                blue, added = move[blue]
+        if cost + 1 >= best.get(full, cost + 2):
+            witness, state = 0, full
+            while state:
+                state, added = move[state]
                 witness |= added
             return witness
         for v in range(g.n):

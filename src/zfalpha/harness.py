@@ -189,12 +189,39 @@ class BatchSummary:
         return not self.violation_certs
 
 
+# (executor, factory, workers) of the pool kept across verify_batch calls
+_pool = None
+
+
+def _shared_pool(workers):
+    """The kept pool, replaced when ``workers`` or the module's
+    ``ProcessPoolExecutor`` binding differs from the one that built it."""
+    global _pool
+    if _pool is not None and (_pool[1] is not ProcessPoolExecutor
+                              or _pool[2] != workers):
+        _pool[0].shutdown()
+        _pool = None
+    if _pool is None:
+        _pool = (ProcessPoolExecutor(max_workers=workers),
+                 ProcessPoolExecutor, workers)
+    return _pool[0]
+
+
 def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
     """Run verify_graph over a graph stream; returns (summary, certificates).
 
     Certificates are written to ``out_path`` (one JSON object per line) in
     input order regardless of worker count, so output is deterministic.
+
+    With more than one worker the graphs go to a process pool that is kept
+    across calls, so its workers are forked once.  A call with another
+    worker count, or after ``harness.ProcessPoolExecutor`` was rebound,
+    shuts the kept pool down and forks a new one; a call whose work raises
+    drops it without waiting for the queued graphs.  Workers run the code
+    as it was when they were forked: a name patched later in the parent is
+    not seen by them.  ``concurrent.futures`` joins them at interpreter exit.
     """
+    global _pool
     cfg = cfg or RunConfig()
     graphs = list(graphs)
     if cfg.workers > 1 and len(graphs) > 1:
@@ -202,8 +229,13 @@ def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
         # multiprocessing.Pool.map's default chunk size; a chunk's results
         # are pickled together, so they share one copy of each bound name
         chunksize = -(-len(jobs) // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        pool = _shared_pool(cfg.workers)
+        try:
             certs = list(pool.map(_verify_worker, jobs, chunksize=chunksize))
+        except BaseException:  # a worker's error, BrokenProcessPool, ^C
+            pool.shutdown(wait=False, cancel_futures=True)
+            _pool = None
+            raise
     else:
         certs = [verify_graph(g, cfg) for g in graphs]
 

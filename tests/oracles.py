@@ -7,6 +7,7 @@ shared cache of test inputs; ``count_cubic_classes`` is its oracle.
 """
 
 import functools
+import heapq
 import itertools
 import random
 
@@ -61,6 +62,47 @@ def brute_zero_forcing(g):
             if len(brute_closure(g, combo)) == g.n:
                 return size
     raise AssertionError("unreachable")
+
+
+def unpruned_wavefront(g):
+    """Witness of the closure dynamic program run until the full set itself
+    is popped, with no early stop: the reference for ``forcing._wavefront``.
+    Same moves, costs and ``(cost, mask)`` order; the closure is a plain
+    fixpoint sweep over the vertices."""
+    def sweep_closure(blue):
+        grown = True
+        while grown:
+            grown = False
+            for v in range(g.n):
+                white = g.adj[v] & ~blue
+                if blue >> v & 1 and white and white & (white - 1) == 0:
+                    blue |= white
+                    grown = True
+        return blue
+
+    best, move, heap = {0: 0}, {}, [(0, 0)]
+    while True:
+        cost, blue = heapq.heappop(heap)
+        if cost > best[blue]:
+            continue
+        if blue == g.full_mask:
+            witness = 0
+            while blue:
+                blue, added = move[blue]
+                witness |= added
+            return witness
+        for v in range(g.n):
+            white = g.adj[v] & ~blue
+            new = (white | 1 << v) & ~blue
+            if not new:
+                continue
+            added = new & ~(1 << white.bit_length() - 1) if white else new
+            reached = sweep_closure(blue | new)
+            reached_cost = cost + max(new.bit_count() - 1, 1)
+            if reached_cost < best.get(reached, reached_cost + 1):
+                best[reached] = reached_cost
+                move[reached] = (blue, added)
+                heapq.heappush(heap, (reached_cost, reached))
 
 
 def brute_alpha(g):

@@ -20,7 +20,8 @@ from zfalpha.graphs import (GraphError, bits, classify_degrees,
 
 from oracles import (brute_closure, brute_zero_forcing, cubic_graphs,
                      random_connected_bounded_degree_edges, random_cubic_edges,
-                     random_edge_graph, random_forest_edges)
+                     random_edge_graph, random_forest_edges,
+                     unpruned_wavefront)
 
 
 def test_closure_matches_set_oracle():
@@ -350,6 +351,19 @@ def test_wavefront_matches_exact_solver_on_cubic_graphs():
     for g in graphs:
         witness, _ = _solve_exact(g)
         _check_wavefront(g, witness.bit_count())
+
+
+def test_wavefront_stop_rule_keeps_the_witness():
+    # _wavefront stops once no move can lower the full set's cost; its
+    # witness must be the one the search run until the full set's pop gives
+    graphs = [g for n in range(4, 13, 2) for g in cubic_graphs(n)]
+    graphs += [build_tight_graph(t).result for n in (4, 6, 8)
+               for t in generate_31_trees(n)]
+    rng = random.Random(59)
+    graphs += [graph_from_edges(n, random_cubic_edges(n, rng))
+               for n in range(14, 23, 2) for _ in range(20)]
+    for g in graphs:
+        assert _wavefront(g) == unpruned_wavefront(g), g.edges()
 
 
 def test_non_cubic_input_stays_on_fort_solver(monkeypatch):

@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import importlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -215,6 +218,64 @@ def test_verify_batch_workers_match_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_batch_keeps_one_pool(tmp_path, monkeypatch):
+    graphs = cubic_graphs(8)
+    serial = tmp_path / "serial.jsonl"
+    verify_batch(graphs, RunConfig(), out_path=str(serial))
+
+    def pooled(name, workers=2):
+        out = tmp_path / f"{name}.jsonl"
+        verify_batch(graphs, RunConfig(workers=workers), out_path=str(out))
+        assert out.read_bytes() == serial.read_bytes()
+        return harness._pool[0]
+
+    first = pooled("first")
+    assert pooled("second") is first
+
+    def assert_shut_down(pool):
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool.submit(int)
+
+    third = pooled("three workers", workers=3)
+    assert third is not first
+    assert_shut_down(first)
+    # bench/tracing.py rebinds the name to install a worker initializer
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+        harness.ProcessPoolExecutor))
+    rebound = pooled("rebound", workers=3)
+    assert rebound is not third
+    assert_shut_down(third)
+
+
+def test_verify_batch_drops_a_pool_whose_work_raised(tmp_path):
+    split = disjoint_union(cycle_graph(3), cycle_graph(3))
+    with pytest.raises(GraphError, match="connected"):
+        verify_batch([petersen_graph(), split], RunConfig(workers=2))
+    assert harness._pool is None
+    summary, _ = verify_batch(cubic_graphs(6), RunConfig(workers=2))
+    assert summary.graphs_checked == 2 and summary.ok
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    code = ("import multiprocessing\n"
+            "from zfalpha.graphs import petersen_graph, prism_graph\n"
+            "from zfalpha.harness import RunConfig, verify_batch\n"
+            "verify_batch([petersen_graph(), prism_graph()],"
+            " RunConfig(workers=2))\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 # SHA-256 of the certificate file, and of the CSV summary, for every connected
 # cubic graph on 4..12 vertices; any change to a certificate, its witness, a
 # column or the order shows here
@@ -338,6 +399,20 @@ def test_cli_unwritable_output(tmp_path, capsys, monkeypatch):
         assert rc == 2
         assert "error: " in capsys.readouterr().err
     assert calls == []
+
+
+def test_cli_bad_options_fail_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("graphs were enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_connected_cubic", refuse)
+    out, csv = tmp_path / "certs.jsonl", tmp_path / "certs.csv"
+    for flags in (["--workers", "0"], ["--budget-secs", "nan"]):
+        rc = main(["verify", "--enumerate-n", "12", "--out", str(out),
+                   "--csv", str(csv), *flags])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists() and not csv.exists()
 
 
 def test_cli_usage_error():
