@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .bounds import decycling_number
-from .enumeration import enumerate_connected_cubic
+from .enumeration import check_order, enumerate_connected_cubic
 from .forcing import enumerate_minimal_forts, zero_forcing_number
 from .gadgets import (build_tight_graph, cubify, generate_31_trees,
                       replace_claw_center, replace_deg1, replace_deg2)
@@ -79,6 +79,8 @@ def _cmd_compute(args):
 def _cmd_verify(args):
     # bad options are reported before any file is made or graph enumerated
     cfg = RunConfig(budget_secs=args.budget_secs, workers=args.workers)
+    if args.enumerate_n is not None:
+        check_order(args.enumerate_n)
     for path in (args.out, args.csv):
         if path is not None:
             # report an unwritable path before any work; append mode creates

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: full subset enumeration,
 set-based propagation, and networkx for isomorphism testing.  The one import
 from the package under test is the enumerator behind ``cubic_graphs``, a
-shared cache of test inputs; ``count_cubic_classes`` is its oracle.
+shared cache of test inputs; ``count_labeled_connected_cubic``,
+``automorphism_count`` and ``is_canonical_by_columns`` are its oracles.
 """
 
 import functools
@@ -174,7 +175,7 @@ def brute_decycling(g):
 
 
 # ---------------------------------------------------------------------------
-# labeled cubic enumeration + isomorphism dedup
+# labeled cubic enumeration and automorphism counts
 
 
 def _labeled_cubic(n):
@@ -203,19 +204,75 @@ def _labeled_cubic(n):
     return out
 
 
-def count_cubic_classes(n):
-    """Number of isomorphism classes of connected cubic graphs on n vertices,
-    by labeled enumeration, hash bucketing, and pairwise networkx checks."""
-    buckets = {}
+def count_labeled_connected_cubic(n):
+    """Number of labeled connected cubic graphs on n vertices, from
+    ``_labeled_cubic`` with a union-find connectivity check."""
+    def find(root, v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    count = 0
     for edges in _labeled_cubic(n):
-        h = nx.Graph(list(edges))
-        if len(h) != n or not nx.is_connected(h):
-            continue
-        key = nx.weisfeiler_lehman_graph_hash(h, iterations=3)
-        reps = buckets.setdefault(key, [])
-        if not any(nx.is_isomorphic(h, r) for r in reps):
-            reps.append(h)
-    return sum(len(reps) for reps in buckets.values())
+        root = list(range(n))
+        parts = n
+        for u, v in edges:
+            ru, rv = find(root, u), find(root, v)
+            if ru != rv:
+                root[ru] = rv
+                parts -= 1
+        count += parts == 1
+    return count
+
+
+def automorphism_count(g):
+    """|Aut(g)|, by listing networkx's isomorphisms of g onto itself."""
+    h = nx_graph(g)
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h)
+               .isomorphisms_iter())
+
+
+# ---------------------------------------------------------------------------
+# orderly-generation canonicity, column by column
+
+
+def is_canonical_by_columns(adj, k):
+    """True iff no relabeling of the k vertices of ``adj`` beats the identity
+    labeling's column string: column j collects x(i, j) for i < j as a
+    j-bit number, i = 0 the most significant bit, and strings compare
+    column by column.  The reference for ``enumeration._is_canonical``."""
+    def columns():
+        cols = []
+        for j in range(1, k):
+            val = 0
+            for i in range(j):
+                val = (val << 1) | ((adj[i] >> j) & 1)
+            cols.append(val)
+        return cols
+
+    target = columns()
+
+    def place(position, used, placed):
+        if position == k:
+            return True
+        for v in range(k):
+            if used & (1 << v):
+                continue
+            val = 0
+            for u in placed:
+                val = (val << 1) | ((adj[u] >> v) & 1)
+            goal = target[position - 1]
+            if val > goal:
+                return False
+            if val == goal:
+                if not place(position + 1, used | (1 << v), placed + [v]):
+                    return False
+        return True
+
+    for v in range(k):
+        if not place(1, 1 << v, [v]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

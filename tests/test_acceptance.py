@@ -24,8 +24,8 @@ from zfalpha.graphs import (classify_degrees, graph_from_edges, star_graph)
 from zfalpha.harness import verify_batch
 from zfalpha.independence import maximum_independent_set
 
-from oracles import (brute_alpha, brute_zero_forcing, count_cubic_classes,
-                     cubic_graphs, random_bipartite_no_isolated,
+from oracles import (brute_alpha, brute_zero_forcing, cubic_graphs,
+                     random_bipartite_no_isolated,
                      random_connected_bounded_degree_edges, random_edge_graph,
                      random_forest_edges)
 

@@ -1,10 +1,26 @@
+import hashlib
+import math
+import random
+
 import networkx as nx
 import pytest
 
+from zfalpha import enumeration
 from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.graphs import GraphError, classify_degrees, is_connected
 
-from oracles import count_cubic_classes, nx_graph
+from oracles import (automorphism_count, count_labeled_connected_cubic,
+                     cubic_graphs, is_canonical_by_columns, nx_graph)
+
+# SHA-256 of repr([g.adj for g in enumerate_connected_cubic(n)]): the list
+# and its order, as the column-string search produced them
+ENUM_DIGEST = {
+    4: "67c784f9d48b22ba6db5fa70cb11325c280c90e22760bdb96ee5c17b59e25b11",
+    6: "bfd4f621f340870cc209fa1da192ba3fc03eee7e389d8815c0c50bf1decca691",
+    8: "8993948d79d9e1591d86037a6e3d695b31a263fa94194069a3824a63b0e36bf4",
+    10: "1e9a4bc69638bbc6021e71510890868e74779aac9f589b5d83e1d2c9bb8bfa78",
+    12: "733291f17c62b7558855bfab5fe9001d32e71f964a7bc0423f5657f2a06e8211",
+}
 
 
 def test_known_counts():
@@ -16,8 +32,75 @@ def test_known_counts():
 
 
 def test_counts_match_labeled_oracle():
+    # sum of n!/|Aut(G)| over the classes counts the labeled graphs; with
+    # the classes pairwise non-isomorphic (checked below), a missing class
+    # would leave the sum short
     for n in (4, 6, 8):
-        assert len(enumerate_connected_cubic(n)) == count_cubic_classes(n)
+        labeled = sum(math.factorial(n) // automorphism_count(g)
+                      for g in enumerate_connected_cubic(n))
+        assert labeled == count_labeled_connected_cubic(n)
+
+
+def test_enumeration_matches_golden_digest():
+    for n, digest in ENUM_DIGEST.items():
+        adjs = [g.adj for g in cubic_graphs(n)]
+        assert hashlib.sha256(repr(adjs).encode()).hexdigest() == digest
+
+
+def _tested_partial_graphs(monkeypatch, sizes):
+    """(adj, k, verdict) for every partial graph the enumerator tests on
+    these sizes, with the column search deciding which branches it takes."""
+    seen = []
+
+    def record(adj, k):
+        verdict = is_canonical_by_columns(adj, k)
+        seen.append((tuple(adj), k, verdict))
+        return verdict
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_is_canonical", record)
+        for n in sizes:
+            enumerate_connected_cubic(n)
+    return seen
+
+
+def _relabeled(adj, k, rng):
+    perm = list(range(k))
+    rng.shuffle(perm)
+    out = [0] * k
+    for v in range(k):
+        for u in range(k):
+            if adj[v] >> u & 1:
+                out[perm[v]] |= 1 << perm[u]
+    return out
+
+
+def _random_graph(k, max_degree, rng):
+    adj = [0] * k
+    p = rng.uniform(0.2, 0.7)
+    for u in range(k):
+        for v in range(u + 1, k):
+            if (rng.random() < p and adj[u].bit_count() < max_degree
+                    and adj[v].bit_count() < max_degree):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def test_is_canonical_matches_column_search(monkeypatch):
+    # every partial graph the enumerator tests up to n = 10, accepted or not
+    tested = _tested_partial_graphs(monkeypatch, (4, 6, 8, 10))
+    assert {verdict for _, _, verdict in tested} == {True, False}
+    for adj, k, verdict in tested:
+        assert enumeration._is_canonical(adj, k) == verdict, (adj, k)
+    # and relabelings of them, and random graphs of maximum degree 4
+    rng = random.Random(17)
+    cases = [_relabeled(adj, k, rng) for adj, k, _ in rng.sample(tested, 600)]
+    cases += [_random_graph(rng.randint(1, 9), 4, rng) for _ in range(600)]
+    for adj in cases:
+        k = len(adj)
+        assert enumeration._is_canonical(adj, k) == \
+            is_canonical_by_columns(adj, k), (adj, k)
 
 
 def test_outputs_are_cubic_connected_and_distinct():

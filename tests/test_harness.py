@@ -407,9 +407,10 @@ def test_cli_bad_options_fail_before_any_work(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_connected_cubic", refuse)
     out, csv = tmp_path / "certs.jsonl", tmp_path / "certs.csv"
-    for flags in (["--workers", "0"], ["--budget-secs", "nan"]):
-        rc = main(["verify", "--enumerate-n", "12", "--out", str(out),
-                   "--csv", str(csv), *flags])
+    for flags in (["--enumerate-n", "12", "--workers", "0"],
+                  ["--enumerate-n", "12", "--budget-secs", "nan"],
+                  ["--enumerate-n", "14"], ["--enumerate-n", "7"]):
+        rc = main(["verify", "--out", str(out), "--csv", str(csv), *flags])
         assert rc == 2
         assert "error: " in capsys.readouterr().err
         assert not out.exists() and not csv.exists()
