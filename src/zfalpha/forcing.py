@@ -1,27 +1,21 @@
-"""Zero forcing: closure, chronological forces, forts, and two exact solvers.
+"""Zero forcing: closure, chronological forces, forts, and the exact search.
 
 ``closure`` is one worklist kernel: only a blue vertex whose white
 neighbourhood has just shrunk can gain a force, so a closure that extends
 an already-closed set starts from the new vertices and their blue
 neighbours.
 
-On cubic input ``zero_forcing_number`` runs the closure dynamic program
-("wavefront") of Brimkov, Fast & Hicks (EJOR 2019).  Its states are closed
-blue sets, expanded in order of cost.  One move picks a vertex v, makes v
-and all but one of its white neighbours blue (v then forces the last one)
-and takes the closure.  The search stops at the first popped state whose
-cost + 1 reaches the full set's best cost: every move costs at least 1, so
-no later move can lower that cost, and it is Z.  The number of states can
-grow exponentially on graphs with many leaves (a star, a tree), so every
-other graph, and every search that must avoid given vertices, uses the
-fort solver.
+``zero_forcing_number`` and ``min_zfset_avoiding`` run one exact search on
+every graph: the closure dynamic program ("wavefront") of Brimkov, Fast &
+Hicks (EJOR 2019) over closed blue sets in order of cost, started with all
+members but one of each class of false twins blue and stopped once the full
+set's cost is settled (see ``_wavefront``).  The start is a symmetry
+argument in the sense of McKay & Piperno (2014): swapping two false twins
+is an automorphism.  Without it the number of states blows up on stars and
+other graphs with many leaves.
 
-The fort solver runs an implicit hitting-set loop over forts: every zero
-forcing set must intersect every fort, so a minimum hitting set of any fort
-collection is a lower bound.  Whenever a candidate hitting set stalls, the
-white complement of its closure is itself a fort and is added to the
-collection, so the loop makes strict progress until the lower bound is
-certified by a set that actually forces.
+``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
+every zero forcing set meets every fort.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .graphs import GraphError, bits, classify_degrees, is_connected, mask_of
+from .graphs import GraphError, bits, is_connected, mask_of
 
 
 class NotForcingSetError(GraphError):
@@ -156,38 +150,6 @@ def is_fort(g, members):
     return True
 
 
-def _is_fort_without(g, fort, v):
-    """True iff ``fort`` minus ``v`` is a fort, given that ``fort`` is one.
-
-    Removing v changes the inside count only of v and of its neighbours, so
-    only those outside vertices can newly see exactly one inside neighbour.
-    """
-    adj = g.adj
-    candidate = fort & ~(1 << v)
-    check = (adj[v] & ~fort) | (1 << v)
-    while check:  # bits(check) inlined: this runs for every vertex tried
-        low = check & -check
-        inside = adj[low.bit_length() - 1] & candidate
-        if inside and inside & (inside - 1) == 0:
-            return False
-        check ^= low
-    return True
-
-
-def _shrink_fort(g, members):
-    """Greedy element removal while the set remains a fort; ``members``
-    must be a fort."""
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for v in bits(members):
-            candidate = members & ~(1 << v)
-            if candidate and _is_fort_without(g, members, v):
-                members = candidate
-                shrunk = True
-    return members
-
-
 def enumerate_minimal_forts(g, cap=None, max_size=None):
     """Inclusion-minimal forts by subset search in ascending size: at most
     ``cap`` of them, on at most ``max_size`` vertices (None: no limit)."""
@@ -207,142 +169,31 @@ def enumerate_minimal_forts(g, cap=None, max_size=None):
     return found
 
 
-def _packing(forts, limit=None):
-    """Size of the greedy packing of pairwise disjoint forts, taken in list
-    order: a lower bound on every set that hits them all.  Counting stops
-    once the size exceeds ``limit``."""
-    used = 0
-    size = 0
-    for f in forts:
-        if not f & used:
-            used |= f
-            size += 1
-            if limit is not None and size > limit:
-                break
-    return size
-
-
-# ---------------------------------------------------------------------------
-# exact solver
-
-
-def _greedy_forcing_set(g, forbidden=0):
-    """Upper-bound witness: grow by maximum closure gain, then prune greedily."""
-    blue = 0
-    closed = 0
-    allowed = g.full_mask & ~forbidden
-    while closed != g.full_mask:
-        best_v, best_gain = -1, -1
-        for v in bits(allowed & ~blue):
-            # the closure of blue + v is that of closed + v
-            gain = closure(g, closed | 1 << v, closed).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_v < 0:
-            raise GraphError("no forcing set avoids the forbidden vertices")
-        blue |= 1 << best_v
-        closed = closure(g, closed | 1 << best_v, closed)
-    for v in bits(blue):
-        candidate = blue & ~(1 << v)
-        if candidate and closure(g, candidate) == g.full_mask:
-            blue = candidate
-    return blue
-
-
-def _solve_exact(g, forbidden=0, deadline=None):
-    """Minimum zero forcing set avoiding ``forbidden``; returns (witness, forts).
-
-    Iterative-deepening search over vertex sets.  Each node branches on an
-    unhit fort; when every known fort is hit but the closure stalls, the
-    stalled white set yields a new fort and the search continues against it.
-    Infeasible (set, budget) states are memoized across depths.  The greedy
-    upper-bound witness avoids ``forbidden`` and forces, so it hits every
-    fort: no fort lies inside ``forbidden`` and no branch set is empty.
-
-    The seeds are the minimal forts on at most three vertices (two when
-    n > 40), from ``enumerate_minimal_forts``.  ``forts`` is kept in
-    generation order (the seeds sorted by size, then value).  A node sees
-    its unhit forts ordered by size, ties in generation order; it builds
-    that list from its parent's, filtered by the one vertex added, plus the
-    forts generated since the parent's list was built.
-    """
-    if g.n == 0:
-        return 0, []
-    full = g.full_mask
-    allowed = full & ~forbidden
-    ub_witness = _greedy_forcing_set(g, forbidden)
-    forts = enumerate_minimal_forts(g, max_size=3 if g.n <= 40 else 2)
-    if not forts:
-        forts = [_shrink_fort(g, full)]
-    forts.sort(key=lambda f: (f.bit_count(), f))
-    seen = {}
-
-    def dfs(chosen, budget, unhit, known):
-        # unhit: the forts among the first ``known`` that the parent's set
-        # misses, in the order the parent saw them
-        _check_deadline(deadline, "zero-forcing")
-        if seen.get(chosen, -1) >= budget:
-            return None
-        unhit = [f for f in unhit if not f & chosen]
-        if known < len(forts):
-            # newer forts go after the older ones of their size (stable sort)
-            unhit += [f for f in forts[known:] if not f & chosen]
-            unhit.sort(key=int.bit_count)
-        known = len(forts)
-        if unhit:
-            # branch on the first unhit fort with the fewest allowed vertices;
-            # without forbidden vertices that is the first
-            if forbidden:
-                branch = min(unhit, key=lambda f: (f & allowed).bit_count())
-                branch &= allowed
-            else:
-                branch = unhit[0]
-            if _packing(unhit, budget) > budget:
-                seen[chosen] = budget
-                return None
-        else:
-            closed = closure(g, chosen)
-            if closed == full:
-                return chosen
-            new_fort = _shrink_fort(g, full & ~closed)
-            forts.append(new_fort)
-            branch = new_fort & allowed
-        if budget == 0:
-            seen[chosen] = 0
-            return None
-        for v in bits(branch):
-            result = dfs(chosen | (1 << v), budget - 1, unhit, known)
-            if result is not None:
-                return result
-        seen[chosen] = budget
-        return None
-
-    try:
-        for size in range(max(_packing(forts), 1), ub_witness.bit_count()):
-            found = dfs(0, size, [], 0)
-            if found is not None:
-                return found, forts
-        return ub_witness, forts
-    finally:
-        # dfs refers to itself, so without this the cycle would hold ``seen``
-        # until the next full garbage collection
-        del dfs
-
-
 # ---------------------------------------------------------------------------
 # wavefront
 
 
-def _wavefront(g, deadline=None):
-    """Minimum zero forcing set by the closure dynamic program.
+def _wavefront(g, forbidden=0, deadline=None):
+    """Minimum zero forcing set avoiding ``forbidden``, by the closure
+    dynamic program.
+
+    Two false twins (vertices with the same open neighbourhood) form a fort,
+    and swapping them is an automorphism that fixes every other vertex.  So
+    some minimum forcing set that avoids ``forbidden`` holds all members but
+    one of each twin class: the forbidden member if the class has one (it
+    has at most one, since two would be a fort inside ``forbidden``), else
+    the highest.  The search starts from the closure of those members, R,
+    at cost |R|.
 
     States are closed blue sets, expanded in Dijkstra order of
     ``(cost, mask)``.  The move at vertex v turns v and each white neighbour
-    of v but the highest blue, at cost ``max(|N[v] \\ S| - 1, 1)``; v then
-    forces the highest, so the next state is the closure of ``S | N[v]``.
-    Each state keeps the ``(parent, added)`` move that first reached it at
-    its least cost, and the witness is the union of the ``added`` masks on
-    the path to the full set.
+    of v but one blue, at cost ``max(|N[v] \\ S| - 1, 1)``; v then forces
+    the one left white, which is a forbidden neighbour if v has one, else
+    the highest.  The next state is the closure of ``S | N[v]`` either way,
+    and a move whose blued vertices meet ``forbidden`` is skipped.  Each
+    state keeps the ``(parent, added)`` move that first reached it at its
+    least cost, and the witness is R plus the ``added`` masks on the path to
+    the full set.
 
     The search stops at the first popped state whose cost + 1 reaches the
     full set's best cost.  Every move costs at least 1 and only a strictly
@@ -353,17 +204,27 @@ def _wavefront(g, deadline=None):
     """
     full = g.full_mask
     adj = g.adj
-    best = {0: 0}  # the empty set is closed
+    if closure(g, full & ~forbidden) != full:
+        raise GraphError("no forcing set avoids the forbidden vertices")
+    twins = {}
+    for v in range(g.n):
+        twins[adj[v]] = twins.get(adj[v], 0) | 1 << v
+    start = 0
+    for members in twins.values():
+        left_out = members & forbidden or members
+        start |= members ^ 1 << left_out.bit_length() - 1
+    origin = closure(g, start)
+    best = {origin: start.bit_count()}
     move = {}
-    heap = [(0, 0)]
-    while True:  # every vertex can be made blue, so the full set is reached
+    heap = [(start.bit_count(), origin)]
+    while True:  # V \ forbidden forces, so the full set is reached
         cost, blue = heapq.heappop(heap)
         if cost > best[blue]:
             continue  # a cheaper entry for this state was expanded already
         _check_deadline(deadline, "zero-forcing")
         if cost + 1 >= best.get(full, cost + 2):
-            witness, state = 0, full
-            while state:
+            witness, state = start, full
+            while state != origin:
                 state, added = move[state]
                 witness |= added
             return witness
@@ -373,8 +234,10 @@ def _wavefront(g, deadline=None):
             if not new:
                 continue
             added = new
-            if white_nbrs:  # v forces its highest white neighbour
-                added ^= 1 << white_nbrs.bit_length() - 1
+            if white_nbrs:  # v forces a forbidden white neighbour, else its highest
+                added ^= 1 << (white_nbrs & forbidden or white_nbrs).bit_length() - 1
+            if added & forbidden:
+                continue
             reached = closure(g, blue | new, blue)
             reached_cost = cost + (new.bit_count() - 1 or 1)
             if reached_cost < best.get(reached, reached_cost + 1):
@@ -384,15 +247,8 @@ def _wavefront(g, deadline=None):
 
 
 def zero_forcing_number(g, deadline=None):
-    """Exact Z(g) with a minimum witness set.
-
-    Cubic graphs go through the wavefront, every other graph through the
-    fort solver; the witness is a minimum zero forcing set either way.
-    """
-    if classify_degrees(g).is_cubic:
-        witness = _wavefront(g, deadline)
-    else:
-        witness, _ = _solve_exact(g, deadline=deadline)
+    """Exact Z(g) with a minimum witness set, from the wavefront."""
+    witness = _wavefront(g, deadline=deadline)
     return witness.bit_count(), witness
 
 
@@ -403,7 +259,7 @@ def min_zfset_avoiding(g, v, deadline=None):
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} is not in the graph (0..{g.n - 1})")
     z, _ = zero_forcing_number(g, deadline)
-    witness, _ = _solve_exact(g, forbidden=1 << v, deadline=deadline)
+    witness = _wavefront(g, 1 << v, deadline)
     if witness.bit_count() != z:
         raise GraphError(
             f"no minimum zero forcing set avoids vertex {v}; "

@@ -1,10 +1,12 @@
 """Independent reference implementations used to validate the fast solvers.
 
 Everything here favors obviousness over speed: full subset enumeration,
-set-based propagation, and networkx for isomorphism testing.  The one import
-from the package under test is the enumerator behind ``cubic_graphs``, a
-shared cache of test inputs; ``count_labeled_connected_cubic``,
-``automorphism_count`` and ``is_canonical_by_columns`` are its oracles.
+set-based propagation, and networkx for isomorphism testing.  The imports
+from the package under test are the enumerator behind ``cubic_graphs``, a
+shared cache of test inputs (``count_labeled_connected_cubic``,
+``automorphism_count`` and ``is_canonical_by_columns`` are its oracles), and
+the closure and minimal-fort search that ``fort_search_zero_forcing``, a
+second exact-Z search, is built on.
 """
 
 import functools
@@ -15,6 +17,8 @@ import random
 import networkx as nx
 
 from zfalpha.enumeration import enumerate_connected_cubic
+from zfalpha.forcing import closure, enumerate_minimal_forts
+from zfalpha.graphs import GraphError, bits
 
 
 @functools.cache
@@ -65,11 +69,24 @@ def brute_zero_forcing(g):
     raise AssertionError("unreachable")
 
 
+def brute_zero_forcing_avoiding(g, forbidden):
+    """Size of a smallest zero forcing set that avoids the ``forbidden``
+    mask, or None if no set does."""
+    allowed = [v for v in range(g.n) if not forbidden >> v & 1]
+    for size in range(0, len(allowed) + 1):
+        for combo in itertools.combinations(allowed, size):
+            if len(brute_closure(g, combo)) == g.n:
+                return size
+    return None
+
+
 def unpruned_wavefront(g):
     """Witness of the closure dynamic program run until the full set itself
     is popped, with no early stop: the reference for ``forcing._wavefront``.
-    Same moves, costs and ``(cost, mask)`` order; the closure is a plain
-    fixpoint sweep over the vertices."""
+    Same start (every false-twin class blue but its highest member), moves,
+    costs and ``(cost, mask)`` order; the twin classes come from grouping
+    the sorted adjacency rows, and the closure is a plain fixpoint sweep
+    over the vertices."""
     def sweep_closure(blue):
         grown = True
         while grown:
@@ -81,14 +98,19 @@ def unpruned_wavefront(g):
                     grown = True
         return blue
 
-    best, move, heap = {0: 0}, {}, [(0, 0)]
+    by_row = sorted(range(g.n), key=lambda v: (g.adj[v], v))
+    kept = [v for _, group in itertools.groupby(by_row, key=lambda v: g.adj[v])
+            for v in list(group)[:-1]]
+    start = sum(1 << v for v in kept)
+    origin = sweep_closure(start)
+    best, move, heap = {origin: len(kept)}, {}, [(len(kept), origin)]
     while True:
         cost, blue = heapq.heappop(heap)
         if cost > best[blue]:
             continue
         if blue == g.full_mask:
-            witness = 0
-            while blue:
+            witness = start
+            while blue != origin:
                 blue, added = move[blue]
                 witness |= added
             return witness
@@ -104,6 +126,160 @@ def unpruned_wavefront(g):
                 best[reached] = reached_cost
                 move[reached] = (blue, added)
                 heapq.heappush(heap, (reached_cost, reached))
+
+
+# ---------------------------------------------------------------------------
+# a second exact-Z search, by fort hitting, that the wavefront is compared
+# against
+
+
+def _is_fort_without(g, fort, v):
+    """True iff ``fort`` minus ``v`` is a fort, given that ``fort`` is one.
+
+    Removing v changes the inside count only of v and of its neighbours, so
+    only those outside vertices can newly see exactly one inside neighbour.
+    """
+    adj = g.adj
+    candidate = fort & ~(1 << v)
+    check = (adj[v] & ~fort) | (1 << v)
+    while check:  # bits(check) inlined: this runs for every vertex tried
+        low = check & -check
+        inside = adj[low.bit_length() - 1] & candidate
+        if inside and inside & (inside - 1) == 0:
+            return False
+        check ^= low
+    return True
+
+
+def _shrink_fort(g, members):
+    """Greedy element removal while the set remains a fort; ``members``
+    must be a fort."""
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for v in bits(members):
+            candidate = members & ~(1 << v)
+            if candidate and _is_fort_without(g, members, v):
+                members = candidate
+                shrunk = True
+    return members
+
+
+def _packing(forts, limit=None):
+    """Size of the greedy packing of pairwise disjoint forts, taken in list
+    order: a lower bound on every set that hits them all.  Counting stops
+    once the size exceeds ``limit``."""
+    used = 0
+    size = 0
+    for f in forts:
+        if not f & used:
+            used |= f
+            size += 1
+            if limit is not None and size > limit:
+                break
+    return size
+
+
+def _greedy_forcing_set(g, forbidden=0):
+    """Upper-bound witness: grow by maximum closure gain, then prune greedily."""
+    blue = 0
+    closed = 0
+    allowed = g.full_mask & ~forbidden
+    while closed != g.full_mask:
+        best_v, best_gain = -1, -1
+        for v in bits(allowed & ~blue):
+            # the closure of blue + v is that of closed + v
+            gain = closure(g, closed | 1 << v, closed).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        if best_v < 0:
+            raise GraphError("no forcing set avoids the forbidden vertices")
+        blue |= 1 << best_v
+        closed = closure(g, closed | 1 << best_v, closed)
+    for v in bits(blue):
+        candidate = blue & ~(1 << v)
+        if candidate and closure(g, candidate) == g.full_mask:
+            blue = candidate
+    return blue
+
+
+def fort_search_zero_forcing(g, forbidden=0):
+    """Minimum zero forcing set avoiding ``forbidden``; returns (witness, forts).
+
+    Iterative-deepening search over vertex sets.  Each node branches on an
+    unhit fort; when every known fort is hit but the closure stalls, the
+    stalled white set yields a new fort and the search continues against it.
+    Infeasible (set, budget) states are memoized across depths.  The greedy
+    upper-bound witness avoids ``forbidden`` and forces, so it hits every
+    fort: no fort lies inside ``forbidden`` and no branch set is empty.
+
+    The seeds are the minimal forts on at most three vertices (two when
+    n > 40), from ``enumerate_minimal_forts``.  ``forts`` is kept in
+    generation order (the seeds sorted by size, then value).  A node sees
+    its unhit forts ordered by size, ties in generation order; it builds
+    that list from its parent's, filtered by the one vertex added, plus the
+    forts generated since the parent's list was built.
+    """
+    if g.n == 0:
+        return 0, []
+    full = g.full_mask
+    allowed = full & ~forbidden
+    ub_witness = _greedy_forcing_set(g, forbidden)
+    forts = enumerate_minimal_forts(g, max_size=3 if g.n <= 40 else 2)
+    if not forts:
+        forts = [_shrink_fort(g, full)]
+    forts.sort(key=lambda f: (f.bit_count(), f))
+    seen = {}
+
+    def dfs(chosen, budget, unhit, known):
+        # unhit: the forts among the first ``known`` that the parent's set
+        # misses, in the order the parent saw them
+        if seen.get(chosen, -1) >= budget:
+            return None
+        unhit = [f for f in unhit if not f & chosen]
+        if known < len(forts):
+            # newer forts go after the older ones of their size (stable sort)
+            unhit += [f for f in forts[known:] if not f & chosen]
+            unhit.sort(key=int.bit_count)
+        known = len(forts)
+        if unhit:
+            # branch on the first unhit fort with the fewest allowed vertices;
+            # without forbidden vertices that is the first
+            if forbidden:
+                branch = min(unhit, key=lambda f: (f & allowed).bit_count())
+                branch &= allowed
+            else:
+                branch = unhit[0]
+            if _packing(unhit, budget) > budget:
+                seen[chosen] = budget
+                return None
+        else:
+            closed = closure(g, chosen)
+            if closed == full:
+                return chosen
+            new_fort = _shrink_fort(g, full & ~closed)
+            forts.append(new_fort)
+            branch = new_fort & allowed
+        if budget == 0:
+            seen[chosen] = 0
+            return None
+        for v in bits(branch):
+            result = dfs(chosen | (1 << v), budget - 1, unhit, known)
+            if result is not None:
+                return result
+        seen[chosen] = budget
+        return None
+
+    try:
+        for size in range(max(_packing(forts), 1), ub_witness.bit_count()):
+            found = dfs(0, size, [], 0)
+            if found is not None:
+                return found, forts
+        return ub_witness, forts
+    finally:
+        # dfs refers to itself, so without this the cycle would hold ``seen``
+        # until the next full garbage collection
+        del dfs
 
 
 def brute_alpha(g):

@@ -4,10 +4,8 @@ import time
 
 import pytest
 
-from zfalpha import forcing
 from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
-                             SolverBudgetExceeded, _is_fort_without,
-                             _packing, _shrink_fort, _solve_exact, _wavefront,
+                             SolverBudgetExceeded, _wavefront,
                              chronological_forces, closure,
                              enumerate_minimal_forts, is_fort,
                              is_zero_forcing_set, min_zfset_avoiding,
@@ -15,10 +13,14 @@ from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
 from zfalpha.graphs import (GraphError, bits, classify_degrees,
                             complete_bipartite, complete_graph, cycle_graph,
-                            disjoint_union, graph_from_edges, path_graph,
-                            petersen_graph, prism_graph, star_graph)
+                            disjoint_union, graph_from_edges, is_connected,
+                            path_graph, petersen_graph, prism_graph,
+                            star_graph)
 
-from oracles import (brute_closure, brute_zero_forcing, cubic_graphs,
+from oracles import (_is_fort_without, _packing, _shrink_fort,
+                     brute_closure, brute_zero_forcing,
+                     brute_zero_forcing_avoiding, cubic_graphs,
+                     fort_search_zero_forcing,
                      random_connected_bounded_degree_edges, random_cubic_edges,
                      random_edge_graph, random_forest_edges,
                      unpruned_wavefront)
@@ -107,6 +109,10 @@ def test_forts():
     assert is_fort(c4, 0b1111)
     with pytest.raises(Exception):
         is_fort(c4, 0)
+
+
+# the helpers of tests/oracles.py:fort_search_zero_forcing, the reference
+# that test_wavefront_matches_exact_solver_on_cubic_graphs compares against
 
 
 def _random_forts(rng, count):
@@ -198,8 +204,9 @@ def _has_nested_forts(forts):
 
 
 def test_exact_search_forts_are_not_nested():
-    # two isolated vertices: {2} and {3} are forts, so {2, 3} is not minimal
-    _, forts = _solve_exact(graph_from_edges(4, [(0, 1)]))
+    # the fort-search oracle's fort list; two isolated vertices: {2} and {3}
+    # are forts, so {2, 3} is not minimal
+    _, forts = fort_search_zero_forcing(graph_from_edges(4, [(0, 1)]))
     assert 0b0100 in forts and 0b1000 in forts
     assert not _has_nested_forts(forts), forts
     isolated = [(g, forbidden) for g, forbidden in _search_digest_cases()
@@ -207,7 +214,7 @@ def test_exact_search_forts_are_not_nested():
     assert len(isolated) == 14
     for g, forbidden in isolated:
         try:
-            _, forts = _solve_exact(g, forbidden)
+            _, forts = fort_search_zero_forcing(g, forbidden)
         except GraphError:  # no forcing set avoids ``forbidden``
             continue
         assert not _has_nested_forts(forts), (g.edges(), forbidden, forts)
@@ -263,6 +270,40 @@ def test_min_zfset_avoiding():
     for outside in (10, 12, -1):
         with pytest.raises(GraphError):
             min_zfset_avoiding(g, outside)
+    rng = random.Random(67)
+    checked = 0
+    while checked < 40:  # every vertex of seeded random connected graphs
+        n = rng.randint(2, 9)
+        g = random_edge_graph(graph_from_edges, n, rng.uniform(0.2, 0.8), rng)
+        if not is_connected(g):
+            continue
+        z = brute_zero_forcing(g)
+        for v in range(n):
+            witness = min_zfset_avoiding(g, v)
+            assert witness.bit_count() == z, (g.edges(), v, witness)
+            assert not witness >> v & 1, (g.edges(), v, witness)
+            assert is_zero_forcing_set(g, witness), (g.edges(), v, witness)
+        checked += 1
+
+
+def test_wavefront_avoids_forbidden_vertices():
+    rng = random.Random(61)
+    infeasible = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        g = random_edge_graph(graph_from_edges, n, rng.random(), rng)
+        forbidden = rng.getrandbits(n) & rng.getrandbits(n)
+        want = brute_zero_forcing_avoiding(g, forbidden)
+        if want is None:
+            with pytest.raises(GraphError, match="forbidden"):
+                _wavefront(g, forbidden)
+            infeasible += 1
+            continue
+        witness = _wavefront(g, forbidden)
+        assert witness.bit_count() == want, (g.edges(), forbidden, witness)
+        assert not witness & forbidden, (g.edges(), forbidden, witness)
+        assert is_zero_forcing_set(g, witness), (g.edges(), forbidden, witness)
+    assert infeasible >= 20
 
 
 def test_budget_exceeded():
@@ -272,12 +313,12 @@ def test_budget_exceeded():
     assert "zero-forcing" in str(info.value) and "0.0s" not in str(info.value)
 
 
-# SHA-256 of repr(_solve_exact(...)) -- witness and every fort, in order --
-# over the inputs of test_exact_search_matches_golden_digest.  It pins the
-# search itself: a change to the seed forts (the minimal forts on at most
-# three vertices), the fort order, the branching or the fort shrinking shows
-# here even where Z and the certificates stay the same.
-SEARCH_DIGEST = "72c976e51d0d3bb2821205577f94dda6d01e4d08a1872eea31870b753419824d"
+# SHA-256 of repr(_wavefront(g, forbidden)) over the inputs of
+# test_exact_search_matches_golden_digest.  It pins the search itself: a
+# change to the twin start, the moves, the forced neighbour, the order of
+# expansion or the stop rule shows here even where Z and the certificates
+# stay the same.
+SEARCH_DIGEST = "919ddd984b279d8be964664bb4a26f64ec750b2a7d1c5d4831bb2c5e2298047e"
 
 
 def _relabeled(g, rng):
@@ -310,7 +351,7 @@ def test_exact_search_matches_golden_digest():
     h = hashlib.sha256()
     for g, forbidden in _search_digest_cases():
         try:
-            result = repr(_solve_exact(g, forbidden))
+            result = repr(_wavefront(g, forbidden))
         except GraphError:  # no forcing set avoids ``forbidden``
             result = "GraphError"
         h.update(result.encode() + b"\n")
@@ -325,7 +366,6 @@ def _check_wavefront(g, z):
 
 
 def test_wavefront_matches_brute_oracle():
-    # called directly: zero_forcing_number sends only cubic graphs to it
     rng = random.Random(53)
     for _ in range(150):
         n = rng.randint(0, 8)
@@ -348,8 +388,13 @@ def test_wavefront_matches_exact_solver_on_cubic_graphs():
     graphs += [g for g, forbidden in _search_digest_cases()
                if not forbidden and classify_degrees(g).is_cubic]
     graphs += [build_tight_graph(t).result for t in generate_31_trees(10)]
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(12, 24)
+        graphs.append(graph_from_edges(n, random_connected_bounded_degree_edges(
+            n, rng.randint(3, 5), rng.randint(n // 2, n), rng)))
     for g in graphs:
-        witness, _ = _solve_exact(g)
+        witness, _ = fort_search_zero_forcing(g)
         _check_wavefront(g, witness.bit_count())
 
 
@@ -362,18 +407,29 @@ def test_wavefront_stop_rule_keeps_the_witness():
     rng = random.Random(59)
     graphs += [graph_from_edges(n, random_cubic_edges(n, rng))
                for n in range(14, 23, 2) for _ in range(20)]
+    # non-cubic graphs, many with false twins, so a nonempty start
+    graphs += [graph_from_edges(n, random_connected_bounded_degree_edges(
+        n, rng.randint(3, 5), rng.randint(0, n), rng))
+        for n in range(6, 17, 2) for _ in range(10)]
     for g in graphs:
         assert _wavefront(g) == unpruned_wavefront(g), g.edges()
 
 
-def test_non_cubic_input_stays_on_fort_solver(monkeypatch):
-    def refuse(g, deadline=None):
-        raise AssertionError("the wavefront ran on this input")
+def _leafy_cycle(length, leaves):
+    """C_length with ``leaves`` pendant vertices on each cycle vertex."""
+    edges = [(v, (v + 1) % length) for v in range(length)]
+    edges += [(v, length + leaves * v + k)
+              for v in range(length) for k in range(leaves)]
+    return graph_from_edges(length * (1 + leaves), edges)
 
-    monkeypatch.setattr(forcing, "_wavefront", refuse)
-    tree = generate_31_trees(8)[0].tree
-    assert zero_forcing_number(star_graph(16))[0] == 15
-    assert zero_forcing_number(tree)[0] == brute_zero_forcing(tree)
-    assert zero_forcing_number(path_graph(9))[0] == 1
-    with pytest.raises(AssertionError, match="wavefront"):
-        zero_forcing_number(petersen_graph())
+
+def test_twin_classes_start_blue():
+    # false twins (the leaves of a star, a side of K2,20, the pendant leaves
+    # at one vertex) start blue but one per class; without that start the
+    # wavefront does not finish K1,40
+    star_plus = graph_from_edges(17, star_graph(16).edges() + [(1, 2)])
+    for g, z in ((star_graph(40), 39), (complete_bipartite(2, 20), 20),
+                 (star_plus, 14), (_leafy_cycle(8, 2), 8)):
+        found, witness = zero_forcing_number(g, time.monotonic() + 10)
+        assert found == witness.bit_count() == z, (g.edges(), witness)
+        assert is_zero_forcing_set(g, witness), (g.edges(), witness)
