@@ -43,11 +43,35 @@ def _solve_degree_le2(g, cand):
     return chosen
 
 
+def _clique_cover(adj, cand):
+    """Number of cliques in a greedy partition of ``cand``: an upper bound on
+    alpha of the induced subgraph, which meets each clique at most once.
+
+    Each clique starts at the lowest remaining vertex and grows by the lowest
+    remaining vertex adjacent to all of its members.
+    """
+    count = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        common = adj[low.bit_length() - 1] & cand
+        while common:
+            low = common & -common
+            cand ^= low
+            common &= adj[low.bit_length() - 1]
+        count += 1
+    return count
+
+
 def maximum_independent_set(g, deadline=None):
     """Exact alpha(g) by branch and bound on a maximum-degree vertex.
 
-    Prunes with the candidate count; components of maximum degree <= 2 are
-    solved directly.  Deterministic lowest-index tie-breaking throughout.
+    Prunes with the candidate count and, at branching nodes, with a greedy
+    clique cover of the candidates; components of maximum degree <= 2 are
+    solved directly.  The branching order never depends on the bound, and a
+    subtree is cut only when it cannot beat the best set strictly, so the
+    witness is the first maximum set in that fixed order, whatever the bound.
+    Deterministic lowest-index tie-breaking throughout.
     """
     best = [0, 0]  # size, mask
 
@@ -71,6 +95,8 @@ def maximum_independent_set(g, deadline=None):
                 best_v, best_d = v, d
         if best_d <= 2:
             consider(cur | _solve_degree_le2(g, cand))
+            return
+        if cur_size + _clique_cover(g.adj, cand) <= best[0]:
             return
         v = best_v
         expand(cand & ~(g.adj[v] | (1 << v)), cur | (1 << v))

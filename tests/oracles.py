@@ -4,9 +4,10 @@ Everything here favors obviousness over speed: full subset enumeration,
 set-based propagation, and networkx for isomorphism testing.  The imports
 from the package under test are the enumerator behind ``cubic_graphs``, a
 shared cache of test inputs (``count_labeled_connected_cubic``,
-``automorphism_count`` and ``is_canonical_by_columns`` are its oracles), and
-the closure and minimal-fort search that ``fort_search_zero_forcing``, a
-second exact-Z search, is built on.
+``automorphism_count`` and ``is_canonical_by_columns`` are its oracles), the
+closure and minimal-fort search that ``fort_search_zero_forcing``, a second
+exact-Z search, is built on, and the path/cycle leaf of the independent-set
+search that ``unpruned_mis`` shares.
 """
 
 import functools
@@ -19,6 +20,7 @@ import networkx as nx
 from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.forcing import closure, enumerate_minimal_forts
 from zfalpha.graphs import GraphError, bits
+from zfalpha.independence import IndependenceCertificate, _solve_degree_le2
 
 
 @functools.cache
@@ -126,6 +128,33 @@ def unpruned_wavefront(g):
                 best[reached] = reached_cost
                 move[reached] = (blue, added)
                 heapq.heappush(heap, (reached_cost, reached))
+
+
+def unpruned_mis(g):
+    """``maximum_independent_set`` with the candidate count as its only
+    bound: the reference for the clique-cover prune.  Same branching vertex
+    (lowest of maximum candidate-degree), include before exclude, the same
+    degree <= 2 leaf and the same strict update, so the certificate must be
+    identical."""
+    best = [0, 0]
+
+    def expand(cand, cur):
+        if cur.bit_count() + cand.bit_count() <= best[0]:
+            return
+        degree = {v: (g.adj[v] & cand).bit_count() for v in bits(cand)}
+        if not degree or max(degree.values()) <= 2:
+            found = cur | _solve_degree_le2(g, cand)
+            if found.bit_count() > best[0]:
+                best[0], best[1] = found.bit_count(), found
+            return
+        v = max(degree, key=lambda u: (degree[u], -u))
+        expand(cand & ~(g.adj[v] | 1 << v), cur | 1 << v)
+        expand(cand & ~(1 << v), cur)
+
+    expand(g.full_mask, 0)
+    return IndependenceCertificate(
+        alpha=best[0], witness=best[1], beta=g.n - best[0],
+        cover_witness=g.full_mask & ~best[1])
 
 
 # ---------------------------------------------------------------------------
