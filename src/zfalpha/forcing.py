@@ -7,12 +7,14 @@ neighbours.
 
 ``zero_forcing_number`` and ``min_zfset_avoiding`` run one exact search on
 every graph: the closure dynamic program ("wavefront") of Brimkov, Fast &
-Hicks (EJOR 2019) over closed blue sets in order of cost, started with all
-members but one of each class of false twins blue and stopped once the full
-set's cost is settled (see ``_wavefront``).  The start is a symmetry
-argument in the sense of McKay & Piperno (2014): swapping two false twins
-is an automorphism.  Without it the number of states blows up on stars and
-other graphs with many leaves.
+Hicks (EJOR 2019) over closed blue sets, expanded one cost level at a time,
+started with all members but one of each class of false twins blue and
+stopped once the full set's cost is settled.  A move that the full set's
+best cost already rules out is skipped before its closure is taken, and so
+is a move that repeats an earlier move's blue set from the same state (see
+``_wavefront``).  The start is a symmetry argument in the sense of McKay &
+Piperno (2014): swapping two false twins is an automorphism.  Without it
+the number of states blows up on stars and other graphs with many leaves.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -20,7 +22,6 @@ every zero forcing set meets every fort.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -185,22 +186,34 @@ def _wavefront(g, forbidden=0, deadline=None):
     the highest.  The search starts from the closure of those members, R,
     at cost |R|.
 
-    States are closed blue sets, expanded in Dijkstra order of
-    ``(cost, mask)``.  The move at vertex v turns v and each white neighbour
-    of v but one blue, at cost ``max(|N[v] \\ S| - 1, 1)``; v then forces
-    the one left white, which is a forbidden neighbour if v has one, else
-    the highest.  The next state is the closure of ``S | N[v]`` either way,
-    and a move whose blued vertices meet ``forbidden`` is skipped.  Each
-    state keeps the ``(parent, added)`` move that first reached it at its
-    least cost, and the witness is R plus the ``added`` masks on the path to
-    the full set.
+    States are closed blue sets, kept in one list per cost and expanded
+    level by level, each level in ascending order of mask: the order of
+    ``(cost, mask)``.  Every move costs at least 1, so a level is complete
+    once the search reaches it.  The move at vertex v turns v and each white
+    neighbour of v but one blue, at cost ``max(|N[v] \\ S| - 1, 1)``; v then
+    forces the one left white, which is a forbidden neighbour if v has one,
+    else the highest.  The next state is the closure of ``S | N[v]`` either
+    way, and a move whose blued vertices meet ``forbidden`` is skipped.  Only
+    white vertices and their neighbours have a move, and they are tried in
+    ascending order.  Each state keeps the ``(parent, added)`` move that
+    first reached it at its least cost, and the witness is R plus the
+    ``added`` masks on the path to the full set.
 
-    The search stops at the first popped state whose cost + 1 reaches the
-    full set's best cost.  Every move costs at least 1 and only a strictly
-    cheaper move replaces a state's record, so no later move can change the
-    full set's record; the states on its path were all popped already, so
+    ``bound`` is the full set's best cost so far (n + 1 before it is
+    reached).  The search stops at the first expanded state whose cost + 1
+    reaches it.  Every move costs at least 1 and only a strictly cheaper
+    move replaces a state's record, so no later move can change the full
+    set's record; the states on its path were all expanded already, so
     theirs are final too.  The witness is therefore the one that expanding
-    until the full set itself is popped would give.
+    until the full set itself is taken would give.  By the same rule three
+    kinds of move are dropped without changing any record that the witness
+    reads: a move whose cost reaches ``bound`` is skipped before its closure
+    is taken, a state other than the full set reached at ``bound - 1`` or
+    more is not recorded (the search stops before it would be expanded),
+    and a move whose ``S | N[v]`` repeats that of an earlier move from the
+    same state is skipped, since it reaches the same closure at the same
+    cost.  A move skipped for ``forbidden`` does not count as tried: a
+    higher v with the same ``S | N[v]`` may force a different neighbour.
     """
     full = g.full_mask
     adj = g.adj
@@ -214,36 +227,57 @@ def _wavefront(g, forbidden=0, deadline=None):
         left_out = members & forbidden or members
         start |= members ^ 1 << left_out.bit_length() - 1
     origin = closure(g, start)
-    best = {origin: start.bit_count()}
+    start_cost = start.bit_count()
+    best = {origin: start_cost}
     move = {}
-    heap = [(start.bit_count(), origin)]
-    while True:  # V \ forbidden forces, so the full set is reached
-        cost, blue = heapq.heappop(heap)
-        if cost > best[blue]:
-            continue  # a cheaper entry for this state was expanded already
-        _check_deadline(deadline, "zero-forcing")
-        if cost + 1 >= best.get(full, cost + 2):
-            witness, state = start, full
-            while state != origin:
-                state, added = move[state]
-                witness |= added
-            return witness
-        for v in range(g.n):
-            white_nbrs = adj[v] & ~blue
-            new = (white_nbrs | 1 << v) & ~blue
-            if not new:
-                continue
-            added = new
-            if white_nbrs:  # v forces a forbidden white neighbour, else its highest
-                added ^= 1 << (white_nbrs & forbidden or white_nbrs).bit_length() - 1
-            if added & forbidden:
-                continue
-            reached = closure(g, blue | new, blue)
-            reached_cost = cost + (new.bit_count() - 1 or 1)
-            if reached_cost < best.get(reached, reached_cost + 1):
+    bound = start_cost if origin == full else g.n + 1
+    levels = [[] for _ in range(g.n + 1)]  # a state's cost is at most n
+    levels[start_cost].append(origin)
+    for cost in range(start_cost, g.n + 1):
+        for blue in sorted(levels[cost]):
+            if cost > best[blue]:
+                continue  # a cheaper record of this state was expanded already
+            _check_deadline(deadline, "zero-forcing")
+            if cost + 1 >= bound:
+                witness, state = start, full
+                while state != origin:
+                    state, added = move[state]
+                    witness |= added
+                return witness
+            white = full & ~blue
+            active = white
+            rest = white
+            while rest:  # bits(rest) inlined: this runs for every state
+                low = rest & -rest
+                rest ^= low
+                active |= adj[low.bit_length() - 1]
+            tried = set()
+            while active:
+                low = active & -active
+                active ^= low
+                white_nbrs = adj[low.bit_length() - 1] & white
+                new = white_nbrs | low & white
+                if new in tried:
+                    continue
+                added = new
+                if white_nbrs:  # v forces a forbidden white neighbour, else its highest
+                    added ^= 1 << (white_nbrs & forbidden or white_nbrs).bit_length() - 1
+                if added & forbidden:
+                    continue
+                tried.add(new)
+                reached_cost = cost + (new.bit_count() - 1 or 1)
+                if reached_cost >= bound:
+                    continue
+                reached = closure(g, blue | new, blue)
+                if reached == full:
+                    bound = reached_cost
+                elif (reached_cost + 1 >= bound  # the stop rule comes first
+                      or reached_cost >= best.get(reached, bound)):
+                    continue
                 best[reached] = reached_cost
                 move[reached] = (blue, added)
-                heapq.heappush(heap, (reached_cost, reached))
+                levels[reached_cost].append(reached)
+    raise RuntimeError("the wavefront ran out of states before the full set")
 
 
 def zero_forcing_number(g, deadline=None):

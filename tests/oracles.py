@@ -82,13 +82,15 @@ def brute_zero_forcing_avoiding(g, forbidden):
     return None
 
 
-def unpruned_wavefront(g):
+def unpruned_wavefront(g, forbidden=0):
     """Witness of the closure dynamic program run until the full set itself
-    is popped, with no early stop: the reference for ``forcing._wavefront``.
-    Same start (every false-twin class blue but its highest member), moves,
-    costs and ``(cost, mask)`` order; the twin classes come from grouping
-    the sorted adjacency rows, and the closure is a plain fixpoint sweep
-    over the vertices."""
+    is popped, with no early stop and no skipped move: the reference for
+    ``forcing._wavefront``.  Same start (every false-twin class blue but its
+    forbidden member, else its highest), moves, forced neighbour (a
+    forbidden white one, else the highest), costs and ``(cost, mask)``
+    order; a move whose blued vertices meet ``forbidden`` is dropped.  The
+    twin classes come from grouping the sorted adjacency rows, the closure
+    is a plain fixpoint sweep over the vertices, and the queue is a heap."""
     def sweep_closure(blue):
         grown = True
         while grown:
@@ -100,9 +102,14 @@ def unpruned_wavefront(g):
                     grown = True
         return blue
 
+    if sweep_closure(g.full_mask & ~forbidden) != g.full_mask:
+        raise GraphError("no forcing set avoids the forbidden vertices")
     by_row = sorted(range(g.n), key=lambda v: (g.adj[v], v))
-    kept = [v for _, group in itertools.groupby(by_row, key=lambda v: g.adj[v])
-            for v in list(group)[:-1]]
+    kept = []
+    for _, group in itertools.groupby(by_row, key=lambda v: g.adj[v]):
+        group = list(group)
+        left_out = ([v for v in group if forbidden >> v & 1] or group)[-1]
+        kept += [v for v in group if v != left_out]
     start = sum(1 << v for v in kept)
     origin = sweep_closure(start)
     best, move, heap = {origin: len(kept)}, {}, [(len(kept), origin)]
@@ -121,7 +128,11 @@ def unpruned_wavefront(g):
             new = (white | 1 << v) & ~blue
             if not new:
                 continue
-            added = new & ~(1 << white.bit_length() - 1) if white else new
+            forced = max((u for u in range(g.n) if white >> u & 1),
+                         key=lambda u: (forbidden >> u & 1, u), default=None)
+            added = new if forced is None else new & ~(1 << forced)
+            if added & forbidden:
+                continue
             reached = sweep_closure(blue | new)
             reached_cost = cost + max(new.bit_count() - 1, 1)
             if reached_cost < best.get(reached, reached_cost + 1):

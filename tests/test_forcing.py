@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from zfalpha import forcing
 from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
                              SolverBudgetExceeded, _wavefront,
                              chronological_forces, closure,
@@ -319,6 +320,10 @@ def test_budget_exceeded():
 # expansion or the stop rule shows here even where Z and the certificates
 # stay the same.
 SEARCH_DIGEST = "919ddd984b279d8be964664bb4a26f64ec750b2a7d1c5d4831bb2c5e2298047e"
+# closure calls that _wavefront makes over the same inputs: the bound skip,
+# the unrecorded states and the duplicate-move skip each remove some, so a
+# change that drops one shows here even though the digest holds
+SEARCH_CLOSURES = 5254
 
 
 def _relabeled(g, rng):
@@ -356,6 +361,23 @@ def test_exact_search_matches_golden_digest():
             result = "GraphError"
         h.update(result.encode() + b"\n")
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+def test_exact_search_closure_count(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return closure(*args)
+
+    monkeypatch.setattr(forcing, "closure", counted)
+    for g, forbidden in _search_digest_cases():
+        try:
+            _wavefront(g, forbidden)
+        except GraphError:
+            pass
+    assert calls == SEARCH_CLOSURES
 
 
 def _check_wavefront(g, z):
@@ -407,12 +429,53 @@ def test_wavefront_stop_rule_keeps_the_witness():
     rng = random.Random(59)
     graphs += [graph_from_edges(n, random_cubic_edges(n, rng))
                for n in range(14, 23, 2) for _ in range(20)]
+    # larger cubic graphs, where the bound skip removes most closures
+    graphs += [graph_from_edges(n, random_cubic_edges(n, rng))
+               for n in (24, 26, 28) for _ in range(4)]
     # non-cubic graphs, many with false twins, so a nonempty start
     graphs += [graph_from_edges(n, random_connected_bounded_degree_edges(
         n, rng.randint(3, 5), rng.randint(0, n), rng))
         for n in range(6, 17, 2) for _ in range(10)]
     for g in graphs:
         assert _wavefront(g) == unpruned_wavefront(g), g.edges()
+
+
+def test_wavefront_matches_unpruned_oracle_with_forbidden_vertices():
+    # random graphs (many with triangles) plus false twins of some vertices,
+    # so forbidden vertices meet twin classes and moves of different v with
+    # the same S | N[v] but different forced neighbours
+    rng = random.Random(67)
+    feasible = 0
+    for _ in range(2000):
+        base = rng.randint(1, 7)
+        edges = random_edge_graph(graph_from_edges, base, rng.random(), rng).edges()
+        n = base
+        for _ in range(rng.randint(0, 2)):
+            twin = rng.randrange(n)
+            edges += [(u, n) for u in range(n)
+                      if (u, twin) in edges or (twin, u) in edges]
+            n += 1
+        g = graph_from_edges(n, edges)
+        forbidden = rng.getrandbits(n) & rng.getrandbits(n)
+        try:
+            want = unpruned_wavefront(g, forbidden)
+        except GraphError:
+            with pytest.raises(GraphError, match="forbidden"):
+                _wavefront(g, forbidden)
+            continue
+        assert _wavefront(g, forbidden) == want, (g.edges(), forbidden)
+        feasible += 1
+    assert feasible >= 1200
+
+
+def test_wavefront_when_the_start_forces_everything():
+    # the twin start's closure is the whole graph, so the start is returned
+    # at the first expansion; n = 1 starts empty and takes one move
+    deadline = time.monotonic() + 10
+    assert _wavefront(graph_from_edges(0, []), deadline=deadline) == 0
+    assert _wavefront(complete_bipartite(3, 3), deadline=deadline) == 0b011011
+    assert _wavefront(star_graph(5), deadline=deadline) == 0b011110
+    assert _wavefront(graph_from_edges(1, []), deadline=deadline) == 0b1
 
 
 def _leafy_cycle(length, leaves):
