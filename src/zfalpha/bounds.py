@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+# closure is not called here, but bench/tracing.py counts calls through it
 from .forcing import (_check_deadline, closure, is_zero_forcing_set,
                       zero_forcing_number)
-from .graphs import (GraphError, bits, classify_degrees, components,
-                     connected_components, induced_edge_count, induced_subgraph,
-                     is_acyclic, is_complete, is_connected, mask_of,
-                     minimum_edge_cover, path_order)
+from .graphs import (GraphError, bfs_layers, bits, classify_degrees,
+                     components, connected_components, induced_edge_count,
+                     induced_subgraph, is_acyclic, is_complete, is_connected,
+                     mask_of, minimum_edge_cover, path_order)
 from .independence import is_independent, maximum_independent_set
 
 
@@ -71,26 +72,19 @@ def minimum_path_cover(f):
     """
     if not is_acyclic(f):
         raise GraphError("minimum_path_cover requires an acyclic graph")
-    # breadth-first order from each component's lowest vertex
-    order = []
-    layer = seen = sum(c & -c for c in connected_components(f))
-    while layer:
-        below = 0
-        for v in bits(layer):
-            order.append(v)
-            below |= f.adj[v]
-        layer = below & ~seen
-        seen |= layer
     kept = [0] * f.n
     ends = 0  # visited vertices that still end a path
-    for v in reversed(order):
-        kids = f.adj[v] & ends  # visited neighbours are children
-        rest = kids & (kids - 1)  # all but the lowest
-        for u in bits(kids ^ (rest & (rest - 1))):  # the lowest two
-            kept[v] |= 1 << u
-            kept[u] |= 1 << v
-        if not rest:
-            ends |= 1 << v
+    for layer in reversed(bfs_layers(f, f.full_mask)):
+        for v in bits(layer):
+            # visited neighbours are children: a forest has no edge inside a
+            # layer
+            kids = f.adj[v] & ends
+            rest = kids & (kids - 1)  # all but the lowest
+            for u in bits(kids ^ (rest & (rest - 1))):  # the lowest two
+                kept[v] |= 1 << u
+                kept[u] |= 1 << v
+            if not rest:
+                ends |= 1 << v
     return _linear_forest_paths(kept, f.full_mask)
 
 
@@ -141,75 +135,73 @@ def path_complement_mis(g, mis=None):
 
 
 def _swap_once(g, a_mask, cycle_comps):
-    n_cycles = len(cycle_comps)
+    """A maximum independent set with fewer cycle components in its
+    complement than ``a_mask`` has, made by one chain swap, or None.
+
+    With H = g - A, a chain c0 a0 c1 a1 ... ck ak starts at a vertex c0 of a
+    cycle component of H and an A-neighbour a0 of it.  It grows from its last
+    A-vertex through an H-leaf c of a component of H not yet in the chain,
+    when the lowest other H-leaf of that component is also adjacent to the
+    last A-vertex; c's lowest A-neighbour other than the last A-vertex, if
+    not yet in the chain, comes next.  Chains are searched depth first, each
+    extension before the chain itself.  A chain swaps a0..ak out of A and
+    c0..ck in; failing that, an H-degree-2 neighbour x of ak other than ck
+    whose first H-neighbour in the chain is ci swaps a0..a(i-1), ak out and
+    c0..c(i-1), x in.  The first swap that keeps A independent and of the
+    same size and lowers the cycle count wins.
+    """
     h_mask = g.full_mask & ~a_mask
-    h_comps = components(g, h_mask)
+    comp_of = {v: comp for comp in components(g, h_mask) for v in bits(comp)}
 
     def h_degree(v):
         return (g.adj[v] & h_mask).bit_count()
 
-    def comp_of(v):
-        return next(c for c in h_comps if c >> v & 1)
+    def improves(candidate):
+        return (candidate.bit_count() == a_mask.bit_count()
+                and is_independent(g, candidate)
+                and len(_cycle_components(g, g.full_mask & ~candidate))
+                < len(cycle_comps))
 
-    def cycles_after(candidate):
-        return len(_cycle_components(g, g.full_mask & ~candidate))
-
-    def try_candidate(cs, as_):
-        removed = mask_of(as_)
-        added = mask_of(cs)
-        a_prime = (a_mask & ~removed) | added
-        if is_independent(g, a_prime) and cycles_after(a_prime) < n_cycles:
-            return a_prime
-        # secondary swap through a degree-2 neighbor of the last a-vertex
+    def swap(cs, as_):
         a_k = as_[-1]
+        primary = a_mask & ~mask_of(as_) | mask_of(cs)
+        if improves(primary):
+            return primary
         for x in bits(g.adj[a_k] & h_mask):
             if x == cs[-1] or h_degree(x) != 2:
                 continue
-            hits = [i for i, ci in enumerate(cs) if g.adj[x] & (1 << ci)]
-            if not hits:
-                continue
-            i = hits[0]
-            removed2 = mask_of(as_[:i]) | (1 << as_[-1])
-            added2 = mask_of(cs[:i]) | (1 << x)
-            a_second = (a_mask & ~removed2) | added2
-            if (a_second.bit_count() == a_mask.bit_count()
-                    and is_independent(g, a_second)
-                    and cycles_after(a_second) < n_cycles):
-                return a_second
+            i = next((i for i, c in enumerate(cs) if g.adj[x] >> c & 1), None)
+            if i is not None:
+                secondary = (a_mask & ~(mask_of(as_[:i]) | 1 << a_k)
+                             | mask_of(cs[:i]) | 1 << x)
+                if improves(secondary):
+                    return secondary
         return None
 
-    def grow(cs, as_, used_comps, used_a):
+    def grow(cs, as_, used):
         a_k = as_[-1]
         for c in bits(g.adj[a_k] & h_mask):
-            if h_degree(c) != 1:
+            comp = comp_of[c]
+            if h_degree(c) != 1 or comp & used:
                 continue
-            comp = comp_of(c)
-            if any(comp & uc for uc in used_comps):
+            other = next((u for u in bits(comp)
+                          if u != c and h_degree(u) == 1), None)
+            if other is None or not g.adj[a_k] >> other & 1:
                 continue
-            others = [u for u in bits(comp) if u != c and h_degree(u) == 1]
-            if not others or not g.adj[a_k] & (1 << others[0]):
+            a_next = next(bits(g.adj[c] & a_mask & ~(1 << a_k)), None)
+            if a_next is None or a_next in as_:
                 continue
-            nxt_a = g.adj[c] & a_mask & ~(1 << a_k)
-            if nxt_a == 0:
-                continue
-            a_next = next(bits(nxt_a))
-            if used_a & (1 << a_next):
-                continue
-            result = grow(cs + [c], as_ + [a_next],
-                          used_comps + [comp], used_a | (1 << a_next))
-            if result is not None:
-                return result
-        return try_candidate(cs, as_)
+            found = grow(cs + [c], as_ + [a_next], used | comp)
+            if found is not None:
+                return found
+        return swap(cs, as_)
 
     for comp in cycle_comps:
         for c0 in bits(comp):
-            a0_mask = g.adj[c0] & a_mask
-            if a0_mask == 0:
-                continue
-            for a0 in bits(a0_mask):
-                result = grow([c0], [a0], [comp], 1 << a0)
-                if result is not None:
-                    return result
+            for a0 in bits(g.adj[c0] & a_mask):
+                found = grow([c0], [a0], comp)
+                if found is not None:
+                    return found
     return None
 
 
@@ -230,43 +222,37 @@ def _path_components_after_removal(g, f_mask, removed_edges):
     return _linear_forest_paths(adj, f_mask)
 
 
-def _endpoints_forcing(g, base_blue, paths):
-    """Pick one endpoint per path so that base_blue plus the picks forces g.
-
-    Tries lowest endpoints first and backtracks over the remaining endpoint
-    choices; a valid choice always exists for the constructions used here.
-    """
-    def search(i, blue):
-        if i == len(paths):
-            return blue if closure(g, blue) == g.full_mask else None
-        p = paths[i]
-        choices = (p[0],) if len(p) == 1 else (p[0], p[-1])
-        for end in choices:
-            result = search(i + 1, blue | (1 << end))
-            if result is not None:
-                return result
-        return None
-
-    return search(0, base_blue)
-
-
 def forcing_set_from_decycling(g, s_mask, mis=None):
     """Explicit zero forcing set of size <= alpha + beta(G[S]) + c.
 
     Requires g cubic and g-S acyclic with c components.  Builds the witness
     through an edge cover of the degree-3 vertices of the forest F = g-S,
-    deletes those edges to leave a path cover of F, and takes S plus one
-    endpoint per path.  The cover is a minimum edge cover of the degree-3
-    vertices with a degree-3 neighbour in F; each lone one, with none, is
-    covered by its lowest-index edge in F.  alpha comes from ``mis``, g's
-    ``IndependenceCertificate``, computed when not given.
+    deletes those edges to leave a path cover of F, and takes S plus the
+    lowest endpoint of each path.  The cover is a minimum edge cover of the
+    degree-3 vertices with a degree-3 neighbour in F; each lone one, with
+    none, is covered by its lowest-index edge in F.  alpha comes from
+    ``mis``, g's ``IndependenceCertificate``, computed when not given.
+
+    Lemma: S plus any one endpoint of each path of any path cover of the
+    forest F by edges of F forces g, so no choice of endpoints is searched.
+    Suppose the closure stops short, and take a path with a white vertex.
+    Its blue prefix, grown from the chosen end, ends at a vertex with two
+    white neighbours: the next one on the path and one off it (an edge to a
+    later vertex of the path would close a cycle in F).  That neighbour lies
+    beyond the blue prefix of another path; repeat from that path.  This
+    walks over the paths along edges of F, leaving each path from a blue
+    vertex and entering the next at a white one, so it never returns along
+    the edge it came by.  Two edges between the same two paths would close
+    a cycle in F, so the paths and these edges form a forest too, and a walk
+    in a forest that never turns back cannot go on forever.  The witness is
+    still re-checked by ``is_zero_forcing_set``.
     """
     if not classify_degrees(g).is_cubic:
         raise GraphError("forcing_set_from_decycling requires a cubic graph")
     f_mask = g.full_mask & ~s_mask
-    if not is_acyclic(g, f_mask):
-        raise GraphError("g - S must be acyclic")
     c = len(components(g, f_mask))
+    if induced_edge_count(g, f_mask) != f_mask.bit_count() - c:
+        raise GraphError("g - S must be acyclic")
 
     d3 = mask_of(v for v in bits(f_mask) if (g.adj[v] & f_mask).bit_count() == 3)
     lone = mask_of(v for v in bits(d3) if not g.adj[v] & d3)
@@ -274,9 +260,7 @@ def forcing_set_from_decycling(g, s_mask, mis=None):
     removed += [(v, next(bits(g.adj[v] & f_mask))) for v in bits(lone)]
 
     paths = _path_components_after_removal(g, f_mask, removed)
-    witness = _endpoints_forcing(g, s_mask, paths)
-    if witness is None:
-        raise GraphError("constructed endpoint set failed to force the graph")
+    witness = s_mask | mask_of(p[0] for p in paths)
 
     sub_s, _ = induced_subgraph(g, s_mask)
     beta_s = maximum_independent_set(sub_s).beta

@@ -125,12 +125,14 @@ def induced_subgraph(g, vertex_mask):
 def parse_graph6(data):
     """Decode one short-form graph6 record (bytes or str)."""
     if isinstance(data, str):
+        if not data.isascii():
+            raise Graph6Error("non-ASCII text in graph6 record")
         data = data.encode("ascii")
     data = data.strip()
-    if not data:
-        raise Graph6Error("empty graph6 record")
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
+    if not data:
+        raise Graph6Error("empty graph6 record")
     head = data[0]
     if head == 126:
         raise Graph6Error("long-form graph6 (n > 62) is not supported")
@@ -282,29 +284,39 @@ def path_order(adj, comp):
     return walk
 
 
+def bfs_layers(g, within):
+    """Breadth-first layers of the subgraph induced by ``within``, as masks:
+    layer k holds the vertices at distance k from the lowest vertex of their
+    component."""
+    layers = []
+    while within:
+        layer, k = within & -within, 0
+        while layer:
+            if k == len(layers):
+                layers.append(0)
+            layers[k] |= layer
+            within &= ~layer
+            below = 0
+            for v in bits(layer):
+                below |= g.adj[v]
+            layer, k = below & within, k + 1
+    return layers
+
+
 def bipartition(g, within=None):
     """2-coloring of the subgraph induced by ``within`` (default: all of g)
-    as (side0_mask, side1_mask); raises on an odd cycle."""
+    as (side0_mask, side1_mask), the even and odd ``bfs_layers``; raises on an
+    odd cycle, which shows as an edge inside a layer."""
     if within is None:
         within = g.full_mask
-    color = {}
     side = [0, 0]
-    for start in bits(within):
-        if start in color:
-            continue
-        color[start] = 0
-        side[0] |= 1 << start
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in bits(g.adj[v] & within):
-                if u in color:
-                    if color[u] == color[v]:
-                        raise NotBipartiteError(f"odd cycle through edge {v}-{u}")
-                else:
-                    color[u] = 1 - color[v]
-                    side[color[u]] |= 1 << u
-                    queue.append(u)
+    for k, layer in enumerate(bfs_layers(g, within)):
+        for v in bits(layer):
+            inside = g.adj[v] & layer
+            if inside:
+                raise NotBipartiteError(
+                    f"odd cycle through edge {v}-{next(bits(inside))}")
+        side[k & 1] |= layer
     return side[0], side[1]
 
 
@@ -314,7 +326,7 @@ def bipartition(g, within=None):
 
 def maximum_matching_bipartite(g, within=None):
     """Maximum matching of the bipartite subgraph induced by ``within``
-    (default: all of g) via augmenting paths.
+    (default: all of g) via augmenting paths from each side-0 vertex in turn.
 
     Returns a frozenset of (u, v) edges with u < v.
     """
@@ -322,26 +334,24 @@ def maximum_matching_bipartite(g, within=None):
         within = g.full_mask
     left, _right = bipartition(g, within)
     match = [-1] * g.n  # partner or -1
+    visited = 0
 
-    def try_augment(v, visited):
+    def augment(v):
+        nonlocal visited
         for u in bits(g.adj[v] & within):
-            if visited & (1 << u):
+            if visited >> u & 1:
                 continue
             visited |= 1 << u
-            if match[u] == -1:
+            if match[u] == -1 or augment(match[u]):
                 match[u] = v
                 match[v] = u
-                return True, visited
-            ok, visited = try_augment(match[u], visited)
-            if ok:
-                match[u] = v
-                match[v] = u
-                return True, visited
-        return False, visited
+                return True
+        return False
 
     for v in bits(left):
         if match[v] == -1:
-            try_augment(v, 0)
+            visited = 0
+            augment(v)
     return frozenset((v, match[v]) for v in bits(within) if match[v] > v)
 
 

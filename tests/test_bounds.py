@@ -17,9 +17,10 @@ from zfalpha.graphs import (Graph, GraphError, bits, classify_degrees,
                             complete_bipartite, complete_graph, components,
                             connected_components, cycle_graph, disjoint_union,
                             graph_from_edges, induced_subgraph, is_acyclic,
-                            parse_graph6, path_graph, path_order,
+                            mask_of, parse_graph6, path_graph, path_order,
                             petersen_graph, prism_graph, star_graph)
-from zfalpha.independence import (is_independent, is_near_independent,
+from zfalpha.independence import (IndependenceCertificate, is_independent,
+                                  is_near_independent,
                                   maximum_independent_set)
 
 from oracles import (brute_decycling, cubic_graphs,
@@ -152,6 +153,56 @@ def test_path_complement_mis_swaps_out_cycles():
         assert classify_degrees(rest).max_degree <= 2, g6
 
 
+def _independent_sets(g, size):
+    """Every independent set of g with ``size`` members, as ascending masks."""
+    found = []
+
+    def grow(candidates, chosen, left):
+        if not left:
+            found.append(chosen)
+            return
+        while candidates.bit_count() >= left:
+            low = candidates & -candidates
+            candidates ^= low
+            grow(candidates & ~g.adj[low.bit_length() - 1], chosen | low,
+                 left - 1)
+
+    grow(g.full_mask, 0, size)
+    return found
+
+
+# SHA-256 of repr(path_complement_mis(g, mis)) from every maximum independent
+# set of the cubic graphs with n <= 12 that leaves a cycle in g - A, then from
+# the branch-and-bound sets of SWAP_GRAPHS and of the first seeded random
+# cubic graphs that need a swap: it pins the swap chains taken (up to three
+# vertices swapped at once on the n = 12 sets), not just alpha.
+SWAP_DIGEST = "8bb5c88c7ac550ca2f3ddf0785d06ef5f47fc39f25447ade16fb330028f6e1ba"
+
+
+def test_path_complement_mis_matches_golden_digest():
+    cases = []
+    for n in range(6, 13, 2):
+        for g in cubic_graphs(n):
+            alpha = maximum_independent_set(g).alpha
+            cases += [(g, IndependenceCertificate(alpha, a, g.n - alpha,
+                                                  g.full_mask & ~a))
+                      for a in _independent_sets(g, alpha)
+                      if not is_acyclic(g, g.full_mask & ~a)]
+    rng = random.Random(2410)
+    graphs = [parse_graph6(g6) for g6 in SWAP_GRAPHS]
+    while len(graphs) < len(SWAP_GRAPHS) + 4:
+        n = rng.randrange(16, 33, 2)
+        g = graph_from_edges(n, random_cubic_edges(n, rng))
+        if not is_acyclic(g, g.full_mask & ~maximum_independent_set(g).witness):
+            graphs.append(g)
+    cases += [(g, maximum_independent_set(g)) for g in graphs]
+    h = hashlib.sha256()
+    for g, mis in cases:
+        h.update(repr(path_complement_mis(g, mis)).encode() + b"\n")
+    assert len(cases) == 88
+    assert h.hexdigest() == SWAP_DIGEST
+
+
 def test_path_complement_mis_rejects_k4_and_noncubic():
     with pytest.raises(GraphError):
         path_complement_mis(complete_graph(4))
@@ -179,6 +230,30 @@ def test_forcing_set_from_decycling_all_small_cubic():
             assert rep.holds
             assert is_zero_forcing_set(g, rep.witness)
             assert rep.witness.bit_count() <= rep.bound_value
+
+
+def test_any_endpoints_of_any_path_cover_of_the_forest_force():
+    # the lemma behind forcing_set_from_decycling: if g - S is a forest,
+    # S plus any one endpoint of each path of any path cover of g - S by
+    # edges of g - S forces g
+    rng = random.Random(2172)
+    for _ in range(5000):
+        n = rng.randint(1, 14)
+        g = graph_from_edges(n, random_connected_bounded_degree_edges(
+            n, rng.randint(3, 5), rng.randint(0, 2 * n), rng))
+        s = _random_decycling_mask(g, rng)
+        f_mask = g.full_mask & ~s
+        forest = [(u, v) for u, v in g.edges() if f_mask >> u & f_mask >> v & 1]
+        adj = [0] * n
+        for u, v in rng.sample(forest, len(forest)):
+            if (adj[u].bit_count() < 2 and adj[v].bit_count() < 2
+                    and rng.random() < 0.8):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        paths = _linear_forest_paths(adj, f_mask)
+        for _ in range(4):
+            ends = mask_of(rng.choice((p[0], p[-1])) for p in paths)
+            assert is_zero_forcing_set(g, s | ends), (g.adj, s, paths, ends)
 
 
 def test_forcing_set_from_decycling_rejects_cyclic_remainder():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -14,7 +15,8 @@ from zfalpha.graphs import (Graph, Graph6Error, GraphError,
                             path_order, petersen_graph, prism_graph,
                             star_graph, write_graph6)
 
-from oracles import brute_is_acyclic, nx_graph, random_edge_graph
+from oracles import (brute_is_acyclic, nx_graph, random_bipartite_no_isolated,
+                     random_edge_graph, random_forest_edges)
 
 
 def test_graph_validation():
@@ -74,6 +76,10 @@ def test_graph6_rejects_bad_input():
         parse_graph6("C~~")  # trailing bytes
     with pytest.raises(Graph6Error):
         parse_graph6("C" + chr(20))  # byte out of range
+    with pytest.raises(Graph6Error, match="empty"):
+        parse_graph6(">>graph6<<")  # header only
+    with pytest.raises(Graph6Error, match="non-ASCII"):
+        parse_graph6("Cé")
 
 
 def test_components_and_connectivity():
@@ -181,6 +187,44 @@ def test_matching_and_edge_cover_vs_networkx():
         else:
             with pytest.raises(IsolatedVertexError):
                 minimum_edge_cover(g, within)
+
+
+# SHA-256 of the bipartition, maximum matching and minimum edge cover of the
+# inputs below, with and without ``within``: it pins the sides, Kuhn's
+# matching and the Gallai completion, not just their sizes.
+BIPARTITE_DIGEST = "fd3446857de70b5482b34f528a0089f0ffa00b38df391e2fcb54a6a3417e839a"
+
+
+def test_bipartite_helpers_match_golden_digest():
+    rng = random.Random(2207)
+    h = hashlib.sha256()
+    for _ in range(300):
+        if rng.random() < 0.5:
+            n, edges = random_bipartite_no_isolated(
+                rng.randint(1, 8), rng.randint(1, 8), rng.uniform(0.1, 0.6), rng)
+        else:
+            n = rng.randint(1, 20)
+            edges = random_forest_edges(n, rng, keep=rng.uniform(0.5, 1.0))
+        perm = rng.sample(range(n), n)
+        g = graph_from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+        if rng.random() < 0.2:  # an odd cycle, unless within misses it
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            if len({a, b, c}) == 3:
+                g = graph_from_edges(n, set(g.edges()) | {
+                    (min(a, b), max(a, b)), (min(b, c), max(b, c)),
+                    (min(a, c), max(a, c))})
+        for within in (None, rng.getrandbits(n)):
+            try:
+                row = [bipartition(g, within),
+                       sorted(maximum_matching_bipartite(g, within))]
+            except GraphError as exc:
+                row = [type(exc).__name__]
+            try:
+                row.append(sorted(minimum_edge_cover(g, within)))
+            except GraphError as exc:
+                row.append(type(exc).__name__)
+            h.update(repr(row).encode() + b"\n")
+    assert h.hexdigest() == BIPARTITE_DIGEST
 
 
 def test_minimum_edge_cover_rejects_isolated():

@@ -379,6 +379,36 @@ def test_cli_malformed_line_names_file_and_line(tmp_path, capsys):
     assert f"error: {path}:3: " in capsys.readouterr().err
 
 
+def test_cli_input_errors_exit_2(tmp_path, capsys):
+    # a bad graph6 input is an input error: exit 2 with one ``error:`` line,
+    # never a traceback or the exit 1 that means a bound was violated
+    valid = tmp_path / "grafos_é.g6"
+    valid.write_text(write_graph6(petersen_graph()).decode("ascii") + "\n")
+    header_only = tmp_path / "header.g6"
+    header_only.write_text("Bg\n>>graph6<<\n")
+    accented = tmp_path / "accented.g6"
+    accented.write_text("Bg\nCé\n", encoding="utf-8")
+    # each bad source with what compute and verify report for it; a literal
+    # that is not graph6 is tried as a file name
+    bad = {">>graph6<<": "cannot read", "Cé": "cannot read",
+           "C": "cannot read", "C~~": "cannot read", "!~": "cannot read",
+           str(header_only): f"{header_only}:2: empty graph6 record",
+           str(accented): f"{accented}:2: non-ASCII"}
+    for command in (["compute"], ["verify", "--input"], ["trace"]):
+        for source, message in bad.items():
+            rc = main([*command, source])
+            err = capsys.readouterr().err
+            assert rc == 2, (command, source)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            if command != ["trace"]:
+                assert message in err, (command, source, err)
+        rc = main([*command, str(valid)])
+        capsys.readouterr()
+        assert rc == (2 if command == ["trace"] else 0), command
+    assert main(["trace", ">>graph6<<"]) == 2
+    assert capsys.readouterr().err == "error: empty graph6 record\n"
+
+
 def test_cli_unwritable_output(tmp_path, capsys, monkeypatch):
     # the output paths are checked before any graph is enumerated or verified
     calls = []
