@@ -25,20 +25,22 @@ from .independence import maximum_independent_set
 def _load_graphs(source):
     """Graphs from a literal graph6 string or a file of graph6 lines.
 
-    In files, blank lines and lines starting with ``#`` are ignored.
+    In files, blank lines and lines starting with ``#`` are ignored.  A file
+    is read as bytes, so a byte that is not graph6 (not even UTF-8) is
+    reported by ``parse_graph6`` with its ``file:line``.
     """
     try:
         return [parse_graph6(source)]
     except Graph6Error:
         pass
     try:
-        with open(source) as fh:
+        with open(source, "rb") as fh:
             lines = [ln.strip() for ln in fh]
     except OSError as exc:
         raise ValueError(f"cannot read {source}: {exc.strerror}") from exc
     graphs = []
     for number, ln in enumerate(lines, 1):
-        if not ln or ln.startswith("#"):
+        if not ln or ln.startswith(b"#"):
             continue
         try:
             graphs.append(parse_graph6(ln))

@@ -5,16 +5,54 @@ neighbourhood has just shrunk can gain a force, so a closure that extends
 an already-closed set starts from the new vertices and their blue
 neighbours.
 
-``zero_forcing_number`` and ``min_zfset_avoiding`` run one exact search on
-every graph: the closure dynamic program ("wavefront") of Brimkov, Fast &
-Hicks (EJOR 2019) over closed blue sets, expanded one cost level at a time,
-started with all members but one of each class of false twins blue and
-stopped once the full set's cost is settled.  A move that the full set's
-best cost already rules out is skipped before its closure is taken, and so
-is a move that repeats an earlier move's blue set from the same state (see
-``_wavefront``).  The start is a symmetry argument in the sense of McKay &
-Piperno (2014): swapping two false twins is an automorphism.  Without it
-the number of states blows up on stars and other graphs with many leaves.
+The exact search is the closure dynamic program ("wavefront") of Brimkov,
+Fast & Hicks (EJOR 2019) over closed blue sets, expanded one cost level at
+a time, started with all members but one of each class of false twins blue
+and stopped once the full set's cost is settled.  A move that the full
+set's best cost already rules out is skipped before its closure is taken,
+and so is a move that repeats an earlier move's blue set from the same
+state (see ``_wavefront``).  The start is a symmetry argument in the sense
+of McKay & Piperno (2014): swapping two false twins is an automorphism.
+Without it the number of states blows up on stars and other graphs with
+many leaves.  ``min_zfset_avoiding`` runs it on the whole graph.
+
+``zero_forcing_number`` runs it on the whole graph only when the graph has
+no bridge.  Otherwise it combines the blocks, the components of G minus its
+bridges, by a dynamic program over the bridge forest: the cut-vertex
+technique of Row (Linear Algebra Appl. 2012), applied to bridges.  For a
+bridge uv with sides G1 ∋ u and G2 ∋ v, write H + leaf@x for H with a new
+pendant vertex at x that may not be in the set, and Z(H | x) for the least
+|S| such that S and a blue x force H.  Then
+
+    Z(G) = min(Z(G1) + Z(G2), Z(G1 + leaf@u) + Z(G2 | v),
+               Z(G1 | u) + Z(G2 + leaf@v)).
+
+Proof sketch: a vertex forces at most once, so in any forcing process the
+bridge carries no force ("none"), u forces v ("out" seen from u) or v
+forces u ("in").  Restrict the process to one side.  With no force across,
+the side forces itself, since u losing the neighbour v only helps it
+force.  When u forces v, u has forced nothing before (v was white) and
+nothing after, so G1's forces with u → leaf in place of u → v force G1 +
+leaf@u with the leaf white, and G2's forces with v blue from the start
+force G2.  Conversely, sets for the two sides of any one case force G: a
+side's process waits on the other only at the bridge, where the case fixes
+which end goes first.  Every argument holds with vertices that must stay
+out of the set and vertices that are blue from the start, so the rule
+applies bridge by bridge.  A block's cost for one state of each of its
+bridges is therefore ``_wavefront`` on the block plus a forbidden leaf at
+each out-end, with each in-end blue at no cost (``pre``).  Two out-ends at
+one vertex are infeasible (the two leaves are forbidden twins); two in-ends
+at one vertex are harmless (the later force finds the vertex blue).  Each
+tree of blocks is rooted at its lowest block and solved from the leaves
+up, over every state vector of a block's child bridges.  A one-vertex block
+costs 0 with an in-end and 1 without one, so its children combine by
+counts; a larger block with more than ``MAX_BLOCK_BRIDGES`` bridges sends
+the whole graph to the wavefront.  The witness is the union of the block
+witnesses, and it is re-checked by ``closure`` on G.
+
+With ``pre`` the wavefront does not start from the twin classes: swapping
+two twins of which one is blue from the start does not map the problem
+onto itself, so the symmetry argument fails.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -26,7 +64,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .graphs import GraphError, bits, is_connected, mask_of
+from .graphs import (Graph, GraphError, bits, bridges, components,
+                     induced_subgraph, is_connected, mask_of)
 
 
 class NotForcingSetError(GraphError):
@@ -174,9 +213,10 @@ def enumerate_minimal_forts(g, cap=None, max_size=None):
 # wavefront
 
 
-def _wavefront(g, forbidden=0, deadline=None):
+def _wavefront(g, forbidden=0, deadline=None, pre=0):
     """Minimum zero forcing set avoiding ``forbidden``, by the closure
-    dynamic program.
+    dynamic program; with ``pre``, the least set S avoiding ``forbidden``
+    such that S together with the blue vertices ``pre`` forces g.
 
     Two false twins (vertices with the same open neighbourhood) form a fort,
     and swapping them is an automorphism that fixes every other vertex.  So
@@ -184,7 +224,9 @@ def _wavefront(g, forbidden=0, deadline=None):
     one of each twin class: the forbidden member if the class has one (it
     has at most one, since two would be a fort inside ``forbidden``), else
     the highest.  The search starts from the closure of those members, R,
-    at cost |R|.
+    at cost |R|.  With ``pre`` the start is the closure of ``pre`` at cost
+    0 and R is empty: a swap of two twins one of which is in ``pre`` does
+    not map the problem onto itself.
 
     States are closed blue sets, kept in one list per cost and expanded
     level by level, each level in ascending order of mask: the order of
@@ -217,16 +259,17 @@ def _wavefront(g, forbidden=0, deadline=None):
     """
     full = g.full_mask
     adj = g.adj
-    if closure(g, full & ~forbidden) != full:
+    if closure(g, full & ~forbidden | pre) != full:
         raise GraphError("no forcing set avoids the forbidden vertices")
-    twins = {}
-    for v in range(g.n):
-        twins[adj[v]] = twins.get(adj[v], 0) | 1 << v
     start = 0
-    for members in twins.values():
-        left_out = members & forbidden or members
-        start |= members ^ 1 << left_out.bit_length() - 1
-    origin = closure(g, start)
+    if not pre:
+        twins = {}
+        for v in range(g.n):
+            twins[adj[v]] = twins.get(adj[v], 0) | 1 << v
+        for members in twins.values():
+            left_out = members & forbidden or members
+            start |= members ^ 1 << left_out.bit_length() - 1
+    origin = closure(g, start | pre)
     start_cost = start.bit_count()
     best = {origin: start_cost}
     move = {}
@@ -280,9 +323,175 @@ def _wavefront(g, forbidden=0, deadline=None):
     raise RuntimeError("the wavefront ran out of states before the full set")
 
 
+# ---------------------------------------------------------------------------
+# the bridge tree
+
+
+# a bridge's state seen from one end x: no force across it, x forces the
+# other end, or the other end forces x
+_NONE, _OUT, _IN = 0, 1, 2
+_FLIP = (_NONE, _IN, _OUT)  # the same state seen from the other end
+# a block of two or more vertices with more bridges than this sends the
+# whole graph to the wavefront: it would take up to 3^b block wavefronts
+MAX_BLOCK_BRIDGES = 6
+
+
+def _bridge_tree_zfs(g, cut, deadline):
+    """Minimum zero forcing set of g from the bridge-tree dynamic program
+    over the bridges ``cut`` (see the module docstring), or None when a
+    block of two or more vertices has more than ``MAX_BLOCK_BRIDGES``."""
+    adj = list(g.adj)
+    for u, v in cut:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    blocks = components(Graph(g.n, tuple(adj)), g.full_mask)
+    block_of = [0] * g.n
+    for i, members in enumerate(blocks):
+        for v in bits(members):
+            block_of[v] = i
+    ends = [[] for _ in blocks]  # (own end, other end) of each bridge at a block
+    for u, v in cut:
+        ends[block_of[u]].append((u, v))
+        ends[block_of[v]].append((v, u))
+    if any(members & members - 1 and len(at) > MAX_BLOCK_BRIDGES
+           for members, at in zip(blocks, ends)):
+        return None
+
+    # root each tree of blocks at its lowest block; parents precede children
+    parent = [None] * len(blocks)  # (own end, parent's end)
+    seen = [False] * len(blocks)
+    order, roots = [], []
+    for root in range(len(blocks)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        k = len(order)
+        order.append(root)
+        while k < len(order):
+            i = order[k]
+            k += 1
+            for x, y in ends[i]:
+                j = block_of[y]
+                if not seen[j]:
+                    seen[j] = True
+                    parent[j] = (y, x)
+                    order.append(j)
+    children = [[e for e in at if e != parent[i]] for i, at in enumerate(ends)]
+
+    subgraphs = {}  # block -> (induced subgraph, its vertices in g)
+    # (block adjacency, out-ends, in-ends) -> witness, all in block labels;
+    # blocks that are the same labelled graph (the gadgets of G_T) share it
+    solved = {}
+
+    def block_witness(i, outs, ins):
+        """Least S in block i such that S and the blue ``ins`` force the block
+        plus a white pendant leaf at each vertex of ``outs``."""
+        if i not in subgraphs:
+            subgraphs[i] = induced_subgraph(g, blocks[i])
+        h, keep = subgraphs[i]
+        outs = mask_of(keep.index(v) for v in bits(outs))
+        ins = mask_of(keep.index(v) for v in bits(ins))
+        key = (h.adj, outs, ins)
+        if key not in solved:
+            rows = list(h.adj)
+            for k in bits(outs):
+                rows[k] |= 1 << len(rows)
+                rows.append(1 << k)
+            leaves = (1 << len(rows)) - (1 << h.n)
+            solved[key] = _wavefront(Graph(len(rows), tuple(rows)), leaves,
+                                     deadline, ins)
+        return mask_of(keep[k] for k in bits(solved[key]))
+
+    # table[i][s]: (least cost of block i's side, its children's states, the
+    # block's own witness) with the parent bridge in state s seen from block i
+    table = [None] * len(blocks)
+    for i in reversed(order):
+        _check_deadline(deadline, "zero-forcing")
+        kids = [(x, table[block_of[y]]) for x, y in children[i]]
+        entries = []
+        for state in ((_NONE,) if parent[i] is None else (_NONE, _OUT, _IN)):
+            if blocks[i] & blocks[i] - 1:
+                entries.append(_best_block_states(
+                    i, parent[i], state, kids, block_witness))
+            else:
+                entries.append(_best_vertex_states(blocks[i], state, kids))
+        table[i] = entries
+
+    witness = 0
+    todo = [(root, _NONE) for root in roots]
+    while todo:
+        i, state = todo.pop()
+        _, states, own = table[i][state]
+        witness |= own
+        todo += [(block_of[y], _FLIP[s]) for (_, y), s in zip(children[i], states)]
+    if (closure(g, witness) != g.full_mask
+            or witness.bit_count() != sum(table[r][_NONE][0] for r in roots)):
+        raise RuntimeError("the bridge dynamic program built a set that does "
+                           "not force the graph or does not match its cost")
+    return witness
+
+
+def _best_block_states(i, parent_end, state, kids, block_witness):
+    """Least cost over the states of block i's child bridges: its block
+    wavefront plus each child's cost in the matching state.  Every state
+    vector is tried, in ``itertools.product`` order; a vector is dropped
+    before its wavefront when the children alone reach the best cost."""
+    best = (float("inf"), None, 0)
+    own = {_OUT: 0, _IN: 0}
+    if state != _NONE:
+        own[state] = 1 << parent_end[0]
+    for states in itertools.product((_NONE, _OUT, _IN), repeat=len(kids)):
+        rest = sum(t[_FLIP[s]][0] for (_, t), s in zip(kids, states))
+        if rest >= best[0]:
+            continue
+        outs, ins = own[_OUT], own[_IN]
+        for (x, _), s in zip(kids, states):
+            if s == _OUT:
+                if outs >> x & 1:
+                    break  # x would force two vertices
+                outs |= 1 << x
+            elif s == _IN:
+                ins |= 1 << x
+        else:
+            found = block_witness(i, outs, ins)
+            if found.bit_count() + rest < best[0]:
+                best = (found.bit_count() + rest, states, found)
+    return best
+
+
+def _best_vertex_states(vertex, state, kids):
+    """``_best_block_states`` for the one-vertex block ``vertex``, in closed
+    form: x forces at most one neighbour, is free once any neighbour forces
+    it and costs 1 otherwise.  So the children combine by counts, in one
+    pass over (out-ends so far, any in-end so far), with no cap on them."""
+    start = (int(state == _OUT), state == _IN)
+    reach = {start: (0, ())}
+    for _, t in kids:
+        step = {}
+        for (outs, any_in), (cost, states) in reach.items():
+            for s in (_NONE, _OUT, _IN):
+                key = (outs + (s == _OUT), any_in or s == _IN)
+                if key[0] < 2:
+                    total = cost + t[_FLIP[s]][0]
+                    if total < step.get(key, (float("inf"),))[0]:
+                        step[key] = (total, states + (s,))
+        reach = step
+    best = (float("inf"), None, 0)
+    for (_, any_in), (cost, states) in reach.items():
+        if cost + (not any_in) < best[0]:
+            best = (cost + (not any_in), states, 0 if any_in else vertex)
+    return best
+
+
 def zero_forcing_number(g, deadline=None):
-    """Exact Z(g) with a minimum witness set, from the wavefront."""
-    witness = _wavefront(g, deadline=deadline)
+    """Exact Z(g) with a minimum witness set: the bridge-tree dynamic
+    program on a graph with a bridge, else (or past its cap) the
+    wavefront."""
+    cut = bridges(g)
+    witness = _bridge_tree_zfs(g, cut, deadline) if cut else None
+    if witness is None:
+        witness = _wavefront(g, deadline=deadline)
     return witness.bit_count(), witness
 
 

@@ -124,9 +124,9 @@ def induced_subgraph(g, vertex_mask):
 
 def parse_graph6(data):
     """Decode one short-form graph6 record (bytes or str)."""
+    if not data.isascii():
+        raise Graph6Error("non-ASCII text in graph6 record")
     if isinstance(data, str):
-        if not data.isascii():
-            raise Graph6Error("non-ASCII text in graph6 record")
         data = data.encode("ascii")
     data = data.strip()
     if data.startswith(b">>graph6<<"):
@@ -216,6 +216,48 @@ def connected_components(g):
 
 def is_connected(g):
     return g.n <= 1 or len(connected_components(g)) == 1
+
+
+def bridges(g):
+    """Bridges of g (the edges on no cycle) as (u, v) pairs with u < v, in
+    ascending order, by one iterative lowlink depth-first search.
+
+    ``low[v]`` is the least discovery index reachable from v's subtree by at
+    most one back edge; the tree edge to v is a bridge iff it exceeds the
+    discovery index of v's parent.
+    """
+    adj = g.adj
+    order = [-1] * g.n
+    low = [0] * g.n
+    found = []
+    count = 0
+    for root in range(g.n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        # frames of (vertex, its parent, neighbours not yet scanned)
+        stack = [[root, -1, adj[root]]]
+        while stack:
+            frame = stack[-1]
+            v, parent, rest = frame
+            if rest:
+                w_bit = rest & -rest
+                frame[2] = rest ^ w_bit
+                w = w_bit.bit_length() - 1
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append([w, v, adj[w] & ~(1 << v)])
+                elif order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            stack.pop()
+            if parent >= 0:
+                if low[v] > order[parent]:
+                    found.append((v, parent) if v < parent else (parent, v))
+                low[parent] = min(low[parent], low[v])
+    return sorted(found)
 
 
 def is_acyclic(g, within=None):

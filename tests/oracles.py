@@ -71,13 +71,13 @@ def brute_zero_forcing(g):
     raise AssertionError("unreachable")
 
 
-def brute_zero_forcing_avoiding(g, forbidden):
-    """Size of a smallest zero forcing set that avoids the ``forbidden``
-    mask, or None if no set does."""
+def brute_zero_forcing_avoiding(g, forbidden, pre=0):
+    """Size of a smallest set S that avoids the ``forbidden`` mask and with
+    the blue vertices ``pre`` forces g, or None if no set does."""
     allowed = [v for v in range(g.n) if not forbidden >> v & 1]
     for size in range(0, len(allowed) + 1):
         for combo in itertools.combinations(allowed, size):
-            if len(brute_closure(g, combo)) == g.n:
+            if len(brute_closure(g, set(combo) | set(bits(pre)))) == g.n:
                 return size
     return None
 
@@ -507,6 +507,26 @@ def random_tree_edges(n, rng):
 
 def random_forest_edges(n, rng, keep=0.8):
     return [(rng.randrange(v), v) for v in range(1, n) if rng.random() < keep]
+
+
+def random_block_tree_edges(count, max_size, rng):
+    """(n, edges) of ``count`` random pieces joined into a tree by bridges,
+    relabelled at random.  Each piece is a random connected graph on
+    1..``max_size`` vertices (which may have bridges of its own), of degree
+    at most 3 half the time; each piece after the first gets one bridge from
+    a random vertex of it to a random vertex of an earlier piece."""
+    edges, n = [], 0
+    for b in range(count):
+        size = rng.randint(1, max_size)
+        cap = 3 if rng.random() < 0.5 else max(size - 1, 1)
+        inner = random_connected_bounded_degree_edges(
+            size, cap, rng.randint(0, size), rng) if size > 1 else []
+        edges += [(n + u, n + v) for u, v in inner]
+        if b:
+            edges.append((rng.randrange(n), n + rng.randrange(size)))
+        n += size
+    perm = rng.sample(range(n), n)
+    return n, [(perm[u], perm[v]) for u, v in edges]
 
 
 def random_cubic_edges(n, rng):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from zfalpha import forcing
+from zfalpha.bounds import minimum_path_cover
 from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
                              SolverBudgetExceeded, _wavefront,
                              chronological_forces, closure,
@@ -12,7 +13,7 @@ from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
                              is_zero_forcing_set, min_zfset_avoiding,
                              zero_forcing_number)
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
-from zfalpha.graphs import (GraphError, bits, classify_degrees,
+from zfalpha.graphs import (GraphError, bits, bridges, classify_degrees,
                             complete_bipartite, complete_graph, cycle_graph,
                             disjoint_union, graph_from_edges, is_connected,
                             path_graph, petersen_graph, prism_graph,
@@ -21,9 +22,9 @@ from zfalpha.graphs import (GraphError, bits, classify_degrees,
 from oracles import (_is_fort_without, _packing, _shrink_fort,
                      brute_closure, brute_zero_forcing,
                      brute_zero_forcing_avoiding, cubic_graphs,
-                     fort_search_zero_forcing,
+                     fort_search_zero_forcing, random_block_tree_edges,
                      random_connected_bounded_degree_edges, random_cubic_edges,
-                     random_edge_graph, random_forest_edges,
+                     random_edge_graph, random_forest_edges, random_tree_edges,
                      unpruned_wavefront)
 
 
@@ -245,12 +246,22 @@ def test_zero_forcing_matches_brute_oracle():
 
 
 def test_zero_forcing_on_forests():
+    # Z of a forest is its path cover number; every edge is a bridge, so the
+    # bridge-tree program settles these without a wavefront
     rng = random.Random(37)
+    forests = []
     for _ in range(100):
         n = rng.randint(1, 14)
-        g = graph_from_edges(n, random_forest_edges(n, rng))
+        forests.append(graph_from_edges(n, random_forest_edges(n, rng)))
+    for _ in range(20):  # leafy trees with n = 36..40, with and without Δ ≤ 3
+        n = rng.randint(36, 40)
+        forests.append(graph_from_edges(n, random_tree_edges(n, rng)))
+        forests.append(graph_from_edges(n, random_connected_bounded_degree_edges(
+            n, 3, 0, rng)))
+    for g in forests:
         z, witness = zero_forcing_number(g)
-        assert is_zero_forcing_set(g, witness)
+        assert z == witness.bit_count() == len(minimum_path_cover(g)), g.edges()
+        assert is_zero_forcing_set(g, witness), g.edges()
 
 
 def test_disconnected_graphs():
@@ -496,3 +507,107 @@ def test_twin_classes_start_blue():
         found, witness = zero_forcing_number(g, time.monotonic() + 10)
         assert found == witness.bit_count() == z, (g.edges(), witness)
         assert is_zero_forcing_set(g, witness), (g.edges(), witness)
+
+
+def test_wavefront_with_pre_blue_vertices():
+    # the least S avoiding F such that S and the blue set P force g; the
+    # false twins added to some graphs make a twin start wrong under P
+    rng = random.Random(73)
+    feasible = 0
+    for _ in range(1500):
+        base = rng.randint(1, 7)
+        edges = random_edge_graph(graph_from_edges, base, rng.random(), rng).edges()
+        n = base
+        for _ in range(rng.randint(0, 2)):
+            twin = rng.randrange(n)
+            edges += [(u, n) for u in range(n)
+                      if (u, twin) in edges or (twin, u) in edges]
+            n += 1
+        g = graph_from_edges(n, edges)
+        forbidden = rng.getrandbits(n) & rng.getrandbits(n)
+        pre = rng.getrandbits(n) & rng.getrandbits(n) & ~forbidden
+        want = brute_zero_forcing_avoiding(g, forbidden, pre)
+        if want is None:
+            with pytest.raises(GraphError, match="forbidden"):
+                _wavefront(g, forbidden, pre=pre)
+            continue
+        witness = _wavefront(g, forbidden, pre=pre)
+        assert witness.bit_count() == want, (g.edges(), forbidden, pre, witness)
+        assert not witness & (forbidden | pre), (g.edges(), forbidden, pre)
+        assert closure(g, witness | pre) == g.full_mask, (g.edges(), forbidden, pre)
+        feasible += 1
+    assert feasible >= 900
+
+
+def _check_bridge_program(g, z=None):
+    """zero_forcing_number against the wavefront on the whole graph: the
+    same Z, and a witness of that size that forces g."""
+    found, witness = zero_forcing_number(g)
+    want = _wavefront(g).bit_count() if z is None else z
+    assert found == witness.bit_count() == want, (g.edges(), witness, want)
+    assert is_zero_forcing_set(g, witness), (g.edges(), witness)
+
+
+def test_bridge_program_matches_wavefront_on_block_trees():
+    rng = random.Random(79)
+    bridged = 0
+    for _ in range(1500):
+        n, edges = random_block_tree_edges(rng.randint(2, 5), 5, rng)
+        g = graph_from_edges(n, edges)
+        bridged += bool(bridges(g))
+        _check_bridge_program(g)
+    assert bridged >= 1300
+
+
+def test_bridge_program_on_tight_and_bridged_cubic_graphs():
+    rng = random.Random(83)
+    for n in range(4, 15, 2):
+        for t in generate_31_trees(n):
+            g = build_tight_graph(t).result
+            z = len(minimum_path_cover(t.tree)) + n + 2  # Z(G_T) = Z(T) + n + 2
+            for h in [g] + [_relabeled(g, rng) for _ in range(3 if n <= 10 else 1)]:
+                _check_bridge_program(h, z if n > 10 else None)
+    cubic = [g for n in range(4, 13, 2) for g in cubic_graphs(n) if bridges(g)]
+    assert len(cubic) == 5  # one at n = 10, four at n = 12
+    for g in cubic:
+        _check_bridge_program(g)
+
+
+def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
+    # trees are settled in closed form; G_T runs the wavefront only on its
+    # 5-vertex gadgets plus at most one pendant leaf
+    sizes = []
+
+    def recorded(g, *args):
+        sizes.append(g.n)
+        return _wavefront(g, *args)
+
+    monkeypatch.setattr(forcing, "_wavefront", recorded)
+    rng = random.Random(89)
+    for _ in range(10):
+        n = rng.randint(20, 40)
+        g = graph_from_edges(n, random_tree_edges(n, rng))
+        assert zero_forcing_number(g)[0] == len(minimum_path_cover(g))
+    assert sizes == []
+    for t in generate_31_trees(8):
+        zero_forcing_number(build_tight_graph(t).result)
+    assert sizes and max(sizes) <= 6
+
+
+def test_bridge_program_falls_back_past_the_bridge_cap():
+    # C7 with a pendant vertex at each cycle vertex: the cycle block has 7
+    # bridges, one more than MAX_BLOCK_BRIDGES, so the whole graph goes to
+    # the wavefront; with 6 pendant vertices the program runs
+    assert forcing.MAX_BLOCK_BRIDGES == 6
+    for pendants in (6, 7):
+        g = graph_from_edges(7 + pendants, [(v, (v + 1) % 7) for v in range(7)]
+                             + [(v, 7 + v) for v in range(pendants)])
+        _check_bridge_program(g)
+        if pendants == 7:
+            assert zero_forcing_number(g)[1] == _wavefront(g)
+
+
+def test_bridge_program_keeps_the_deadline():
+    for g in (build_tight_graph(generate_31_trees(8)[0]).result, path_graph(30)):
+        with pytest.raises(SolverBudgetExceeded):
+            zero_forcing_number(g, deadline=time.monotonic() - 1)

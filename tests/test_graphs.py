@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from zfalpha.graphs import (Graph, Graph6Error, GraphError,
-                            IsolatedVertexError, bits, bipartition,
+                            IsolatedVertexError, bits, bipartition, bridges,
                             claw_centers, classify_degrees, complete_bipartite,
                             complete_graph, components, connected_components,
                             cycle_graph, disjoint_union, graph_from_edges,
@@ -16,7 +16,7 @@ from zfalpha.graphs import (Graph, Graph6Error, GraphError,
                             star_graph, write_graph6)
 
 from oracles import (brute_is_acyclic, nx_graph, random_bipartite_no_isolated,
-                     random_edge_graph, random_forest_edges)
+                     random_edge_graph, random_forest_edges, random_tree_edges)
 
 
 def test_graph_validation():
@@ -80,6 +80,8 @@ def test_graph6_rejects_bad_input():
         parse_graph6(">>graph6<<")  # header only
     with pytest.raises(Graph6Error, match="non-ASCII"):
         parse_graph6("Cé")
+    with pytest.raises(Graph6Error, match="non-ASCII"):
+        parse_graph6(b"C\xe9")
 
 
 def test_components_and_connectivity():
@@ -107,6 +109,31 @@ def test_acyclicity_matches_dfs_oracle():
             expect = [mask_of(keep[i] for i in bits(c))
                       for c in connected_components(sub)]
             assert components(g, m) == expect
+
+
+def test_bridges_match_networkx():
+    rng = random.Random(19)
+    cases = [graph_from_edges(0, []), graph_from_edges(1, []), path_graph(2),
+             cycle_graph(5), petersen_graph(), star_graph(6),
+             disjoint_union(path_graph(4), cycle_graph(4))]
+    for _ in range(300):  # random graphs, sparse enough to have bridges
+        n = rng.randint(1, 16)
+        cases.append(random_edge_graph(graph_from_edges, n,
+                                       rng.uniform(0, 0.4), rng))
+    for _ in range(100):  # trees, where every edge is a bridge
+        n = rng.randint(1, 40)
+        cases.append(graph_from_edges(n, random_tree_edges(n, rng)))
+    for _ in range(100):  # forests and unions of a forest with a cyclic graph
+        n = rng.randint(1, 20)
+        forest = graph_from_edges(n, random_forest_edges(n, rng, keep=0.6))
+        cases.append(forest)
+        cases.append(disjoint_union(forest, random_edge_graph(
+            graph_from_edges, rng.randint(1, 10), rng.uniform(0.2, 0.6), rng)))
+    for g in cases:
+        expect = sorted(tuple(sorted(e)) for e in nx.bridges(nx_graph(g)))
+        assert bridges(g) == expect, g.edges()
+    assert bridges(star_graph(6)) == [(0, v) for v in range(1, 7)]
+    assert bridges(cycle_graph(5)) == []
 
 
 def test_induced_subgraph():

@@ -388,12 +388,15 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     header_only.write_text("Bg\n>>graph6<<\n")
     accented = tmp_path / "accented.g6"
     accented.write_text("Bg\nCé\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.g6"  # 0xe9 alone is not UTF-8
+    latin1.write_bytes(b"Bg\nC\xe9\n")
     # each bad source with what compute and verify report for it; a literal
     # that is not graph6 is tried as a file name
     bad = {">>graph6<<": "cannot read", "Cé": "cannot read",
            "C": "cannot read", "C~~": "cannot read", "!~": "cannot read",
            str(header_only): f"{header_only}:2: empty graph6 record",
-           str(accented): f"{accented}:2: non-ASCII"}
+           str(accented): f"{accented}:2: non-ASCII",
+           str(latin1): f"{latin1}:2: non-ASCII"}
     for command in (["compute"], ["verify", "--input"], ["trace"]):
         for source, message in bad.items():
             rc = main([*command, source])
