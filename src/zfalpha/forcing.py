@@ -16,10 +16,11 @@ of McKay & Piperno (2014): swapping two false twins is an automorphism.
 Without it the number of states blows up on stars and other graphs with
 many leaves.  ``min_zfset_avoiding`` runs it on the whole graph.
 
-``zero_forcing_number`` runs it on the whole graph only when the graph has
-no bridge.  Otherwise it combines the blocks, the components of G minus its
-bridges, by a dynamic program over the bridge forest: the cut-vertex
-technique of Row (Linear Algebra Appl. 2012), applied to bridges.  For a
+``zero_forcing_number`` runs it on the whole graph when the graph has no
+bridge or fewer than ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices.  Otherwise
+it combines the blocks, the components of G minus its bridges, by a
+dynamic program over the bridge forest: the cut-vertex technique of Row
+(Linear Algebra Appl. 2012), applied to bridges.  For a
 bridge uv with sides G1 ∋ u and G2 ∋ v, write H + leaf@x for H with a new
 pendant vertex at x that may not be in the set, and Z(H | x) for the least
 |S| such that S and a blue x force H.  Then
@@ -50,9 +51,10 @@ counts; a larger block with more than ``MAX_BLOCK_BRIDGES`` bridges sends
 the whole graph to the wavefront.  The witness is the union of the block
 witnesses, and it is re-checked by ``closure`` on G.
 
-With ``pre`` the wavefront does not start from the twin classes: swapping
-two twins of which one is blue from the start does not map the problem
-onto itself, so the symmetry argument fails.
+With ``pre`` the wavefront builds its twin classes from the vertices
+outside ``pre`` only: swapping two twins that are both outside ``pre``
+fixes ``pre`` and so still maps the problem onto itself, while a swap with
+a vertex in ``pre`` would not.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -224,9 +226,9 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
     one of each twin class: the forbidden member if the class has one (it
     has at most one, since two would be a fort inside ``forbidden``), else
     the highest.  The search starts from the closure of those members, R,
-    at cost |R|.  With ``pre`` the start is the closure of ``pre`` at cost
-    0 and R is empty: a swap of two twins one of which is in ``pre`` does
-    not map the problem onto itself.
+    at cost |R|.  With ``pre`` the twin classes are taken among the
+    vertices outside ``pre``, since only a swap of two of those fixes
+    ``pre``, and the start is the closure of R and ``pre``.
 
     States are closed blue sets, kept in one list per cost and expanded
     level by level, each level in ascending order of mask: the order of
@@ -261,14 +263,13 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
     adj = g.adj
     if closure(g, full & ~forbidden | pre) != full:
         raise GraphError("no forcing set avoids the forbidden vertices")
+    twins = {}
+    for v in bits(full & ~pre):
+        twins[adj[v]] = twins.get(adj[v], 0) | 1 << v
     start = 0
-    if not pre:
-        twins = {}
-        for v in range(g.n):
-            twins[adj[v]] = twins.get(adj[v], 0) | 1 << v
-        for members in twins.values():
-            left_out = members & forbidden or members
-            start |= members ^ 1 << left_out.bit_length() - 1
+    for members in twins.values():
+        left_out = members & forbidden or members
+        start |= members ^ 1 << left_out.bit_length() - 1
     origin = closure(g, start | pre)
     start_cost = start.bit_count()
     best = {origin: start_cost}
@@ -332,8 +333,17 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
 _NONE, _OUT, _IN = 0, 1, 2
 _FLIP = (_NONE, _IN, _OUT)  # the same state seen from the other end
 # a block of two or more vertices with more bridges than this sends the
-# whole graph to the wavefront: it would take up to 3^b block wavefronts
+# whole graph to the wavefront.  A block with b bridges takes up to
+# 3^(b+1) block wavefronts, about 4 times more per bridge; 6 is the largest
+# b at which the program took no longer in total than the whole-graph
+# wavefront on seeded trees plus one or two edges (n = 24-36) and on cubic
+# graphs with one large block (timings in CHANGES.md)
 MAX_BLOCK_BRIDGES = 6
+# the program runs on graphs of at least this many vertices: on smaller
+# ones its per-block set-up costs more than the whole-graph wavefront (the
+# median time ratio on seeded bridged graphs crosses 1 at n = 18; timings
+# in CHANGES.md)
+MIN_BRIDGE_PROGRAM_VERTICES = 18
 
 
 def _bridge_tree_zfs(g, cut, deadline):
@@ -486,9 +496,10 @@ def _best_vertex_states(vertex, state, kids):
 
 def zero_forcing_number(g, deadline=None):
     """Exact Z(g) with a minimum witness set: the bridge-tree dynamic
-    program on a graph with a bridge, else (or past its cap) the
-    wavefront."""
-    cut = bridges(g)
+    program on a graph with a bridge and at least
+    ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices, else (or past its bridge cap)
+    the wavefront."""
+    cut = bridges(g) if g.n >= MIN_BRIDGE_PROGRAM_VERTICES else None
     witness = _bridge_tree_zfs(g, cut, deadline) if cut else None
     if witness is None:
         witness = _wavefront(g, deadline=deadline)

@@ -13,13 +13,14 @@ search that ``unpruned_mis`` shares.
 import functools
 import heapq
 import itertools
+import os
 import random
 
 import networkx as nx
 
 from zfalpha.enumeration import enumerate_connected_cubic
 from zfalpha.forcing import closure, enumerate_minimal_forts
-from zfalpha.graphs import GraphError, bits
+from zfalpha.graphs import GraphError, bits, parse_graph6
 from zfalpha.independence import IndependenceCertificate, _solve_degree_le2
 
 
@@ -28,6 +29,17 @@ def cubic_graphs(n):
     """enumerate_connected_cubic(n), run once per test session: n = 12 alone
     takes seconds."""
     return tuple(enumerate_connected_cubic(n))
+
+
+def bridged_random_cubic():
+    """(seed, index, graph) of every random_cubic benchmark input of seeds
+    0-299 that has a bridge, from tests/data/bridged_random_cubic.txt:
+    drawing the 12,000 graphs again would take seconds."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                        "bridged_random_cubic.txt")
+    with open(path) as fh:
+        rows = [ln.split() for ln in fh if not ln.startswith("#")]
+    return [(int(seed), int(index), parse_graph6(g6)) for seed, index, g6 in rows]
 
 
 def edges_of(adj_or_graph):

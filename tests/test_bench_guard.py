@@ -14,9 +14,10 @@ import os
 import pytest
 
 from zfalpha import gadgets
-from zfalpha.forcing import _wavefront, is_zero_forcing_set, zero_forcing_number
 from zfalpha.graphs import bridges, parse_graph6
 from zfalpha.harness import verify_graph
+
+from oracles import bridged_random_cubic
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -36,14 +37,6 @@ def bench(monkeypatch):
     return importlib.import_module("workloads"), importlib.import_module("checks")
 
 
-def _bridged_random_cubic():
-    """(seed, index, graph) of every bridged random_cubic input of seeds
-    0-299, from tests/data/bridged_random_cubic.txt."""
-    with open(os.path.join(HERE, "data", "bridged_random_cubic.txt")) as fh:
-        rows = [ln.split() for ln in fh if not ln.startswith("#")]
-    return [(int(seed), int(index), parse_graph6(g6)) for seed, index, g6 in rows]
-
-
 def test_tight_family_passes_the_benchmark_check(bench, tmp_path):
     workloads, checks = bench
     for seed in range(10):
@@ -57,7 +50,7 @@ def test_tight_family_passes_the_benchmark_check(bench, tmp_path):
 
 def test_bridged_random_cubic_certificates_are_unchanged(bench, tmp_path):
     workloads, checks = bench
-    listed = {(seed, index): g for seed, index, g in _bridged_random_cubic()}
+    listed = {(seed, index): g for seed, index, g in bridged_random_cubic()}
     h = hashlib.sha256()
     for seed in sorted({seed for seed, _ in BRIDGED}):
         path = workloads.RandomCubic().setup(seed, str(tmp_path))["path"]
@@ -70,13 +63,3 @@ def test_bridged_random_cubic_certificates_are_unchanged(bench, tmp_path):
             assert checks.check_certificate(cert, g, exact_z=False) == []
             h.update(cert.to_json().encode() + b"\n")
     assert h.hexdigest() == BRIDGED_CERT_DIGEST
-
-
-def test_bridge_program_on_bridged_random_cubic_graphs():
-    graphs = _bridged_random_cubic()
-    assert len(graphs) == 70 and len({seed for seed, _, _ in graphs}) == 60
-    for seed, index, g in graphs:
-        assert bridges(g), (seed, index)
-        z, witness = zero_forcing_number(g)
-        assert z == witness.bit_count() == _wavefront(g).bit_count(), (seed, index)
-        assert is_zero_forcing_set(g, witness), (seed, index)

@@ -20,7 +20,7 @@ from zfalpha.graphs import (GraphError, bits, bridges, classify_degrees,
                             star_graph)
 
 from oracles import (_is_fort_without, _packing, _shrink_fort,
-                     brute_closure, brute_zero_forcing,
+                     bridged_random_cubic, brute_closure, brute_zero_forcing,
                      brute_zero_forcing_avoiding, cubic_graphs,
                      fort_search_zero_forcing, random_block_tree_edges,
                      random_connected_bounded_degree_edges, random_cubic_edges,
@@ -500,10 +500,15 @@ def _leafy_cycle(length, leaves):
 def test_twin_classes_start_blue():
     # false twins (the leaves of a star, a side of K2,20, the pendant leaves
     # at one vertex) start blue but one per class; without that start the
-    # wavefront does not finish K1,40
+    # wavefront does not finish K1,40.  K2,20 on 1..22 with a pendant vertex
+    # 0 is one block behind a bridge, so its wavefront runs with the bridge
+    # end blue (``pre``), and the twins outside ``pre`` must still start blue
     star_plus = graph_from_edges(17, star_graph(16).edges() + [(1, 2)])
+    k220 = [(a, b) for a in (1, 2) for b in range(3, 23)]
     for g, z in ((star_graph(40), 39), (complete_bipartite(2, 20), 20),
-                 (star_plus, 14), (_leafy_cycle(8, 2), 8)):
+                 (star_plus, 14), (_leafy_cycle(8, 2), 8),
+                 (graph_from_edges(23, k220 + [(0, 3)]), 20),
+                 (graph_from_edges(23, k220 + [(0, 1)]), 20)):
         found, witness = zero_forcing_number(g, time.monotonic() + 10)
         assert found == witness.bit_count() == z, (g.edges(), witness)
         assert is_zero_forcing_set(g, witness), (g.edges(), witness)
@@ -540,11 +545,15 @@ def test_wavefront_with_pre_blue_vertices():
 
 
 def _check_bridge_program(g, z=None):
-    """zero_forcing_number against the wavefront on the whole graph: the
-    same Z, and a witness of that size that forces g."""
-    found, witness = zero_forcing_number(g)
+    """zero_forcing_number, and the bridge-tree program on its own at any
+    size, against the wavefront on the whole graph: the same Z, and a
+    witness of that size that forces g."""
     want = _wavefront(g).bit_count() if z is None else z
+    found, witness = zero_forcing_number(g)
     assert found == witness.bit_count() == want, (g.edges(), witness, want)
+    assert is_zero_forcing_set(g, witness), (g.edges(), witness)
+    witness = forcing._bridge_tree_zfs(g, bridges(g), None)
+    assert witness.bit_count() == want, (g.edges(), witness, want)
     assert is_zero_forcing_set(g, witness), (g.edges(), witness)
 
 
@@ -569,7 +578,10 @@ def test_bridge_program_on_tight_and_bridged_cubic_graphs():
                 _check_bridge_program(h, z if n > 10 else None)
     cubic = [g for n in range(4, 13, 2) for g in cubic_graphs(n) if bridges(g)]
     assert len(cubic) == 5  # one at n = 10, four at n = 12
-    for g in cubic:
+    drawn = bridged_random_cubic()  # the bridged random_cubic benchmark inputs
+    assert len(drawn) == 70 and len({seed for seed, _, _ in drawn}) == 60
+    for g in cubic + [g for _, _, g in drawn]:
+        assert bridges(g)
         _check_bridge_program(g)
 
 
@@ -594,17 +606,27 @@ def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
     assert sizes and max(sizes) <= 6
 
 
-def test_bridge_program_falls_back_past_the_bridge_cap():
-    # C7 with a pendant vertex at each cycle vertex: the cycle block has 7
-    # bridges, one more than MAX_BLOCK_BRIDGES, so the whole graph goes to
-    # the wavefront; with 6 pendant vertices the program runs
-    assert forcing.MAX_BLOCK_BRIDGES == 6
-    for pendants in (6, 7):
-        g = graph_from_edges(7 + pendants, [(v, (v + 1) % 7) for v in range(7)]
-                             + [(v, 7 + v) for v in range(pendants)])
-        _check_bridge_program(g)
-        if pendants == 7:
-            assert zero_forcing_number(g)[1] == _wavefront(g)
+def test_bridge_program_falls_back_to_the_wavefront():
+    # a cycle of MIN_BRIDGE_PROGRAM_VERTICES vertices with a pendant vertex
+    # at k of them: the cycle block has k bridges.  At MAX_BLOCK_BRIDGES the
+    # program runs; one more and the whole graph goes to the wavefront, as
+    # does a bridged graph below MIN_BRIDGE_PROGRAM_VERTICES.  All give Z.
+    cap, size = forcing.MAX_BLOCK_BRIDGES, forcing.MIN_BRIDGE_PROGRAM_VERTICES
+    for pendants in (cap, cap + 1):
+        g = graph_from_edges(size + pendants,
+                             [(v, (v + 1) % size) for v in range(size)]
+                             + [(v, size + v) for v in range(pendants)])
+        found, witness = zero_forcing_number(g)
+        assert found == _wavefront(g).bit_count() == witness.bit_count()
+        program = forcing._bridge_tree_zfs(g, bridges(g), None)
+        if pendants > cap:
+            assert program is None and witness == _wavefront(g)
+        else:
+            assert program == witness
+    g = build_tight_graph(generate_31_trees(4)[0]).result
+    assert g.n < size and bridges(g)
+    assert zero_forcing_number(g)[1] == _wavefront(g)
+    assert forcing._bridge_tree_zfs(g, bridges(g), None) != _wavefront(g)
 
 
 def test_bridge_program_keeps_the_deadline():
