@@ -162,7 +162,8 @@ def build_parser():
     p = sub.add_parser("verify", help="batch bound verification")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--enumerate-n", type=int,
-                     help="all connected cubic graphs on this many vertices")
+                     help="all connected cubic graphs on this many vertices "
+                          "(even, 4 to 14)")
     src.add_argument("--input", help="graph6 file, one graph per line")
     p.add_argument("--out", help="certificate output path (JSON lines)")
     p.add_argument("--csv", help="optional CSV projection of scalar columns")

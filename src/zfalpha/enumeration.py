@@ -1,4 +1,4 @@
-"""Isomorph-free enumeration of connected cubic graphs on up to 12 vertices.
+"""Isomorph-free enumeration of connected cubic graphs on up to 14 vertices.
 
 Orderly generation (Read, *Every one a winner*, 1978): vertices are added one
 at a time, each new vertex choosing its neighbors among earlier vertices, and a
@@ -13,6 +13,16 @@ candidate with the identity's column is one integer comparison.  A branch whose
 new vertex closes a component of degree-3 vertices short of n vertices is cut
 before that test: later vertices attach only to vertices of degree below 3,
 so every graph below it is disconnected.
+
+Most candidates for a new vertex k are dropped before the component cut and
+the canonicity test, by one swap test (``_beaten_by_swap``).  Swapping
+positions k - 1 and k leaves columns 0..k-2 as they are, and makes column
+k - 1 the new vertex's neighbours among positions 0..k-2.  If that column
+beats the identity's column k - 1, the swapped labeling beats the identity
+at its first difference, so the partial graph is not canonical and
+``_is_canonical`` would reject it too.  The test never drops a graph that
+the search accepts, so the output and its order are those of the search
+alone.
 """
 
 from __future__ import annotations
@@ -95,14 +105,25 @@ def _closes_small_component(adj, v, n):
     return seen.bit_count() < n
 
 
+def _beaten_by_swap(adj, col):
+    """True iff giving a new vertex k = len(adj) the neighbours ``col`` (a
+    bitmask) and swapping it with vertex k - 1 beats the identity's column
+    k - 1: the lowest bit below k - 1 where ``col`` and ``adj[k - 1]``
+    differ is set in ``col``."""
+    below = (1 << (len(adj) - 1)) - 1
+    x = col & below
+    diff = x ^ (adj[-1] & below)
+    return x & diff & -diff != 0
+
+
 def check_order(n):
     """Raise GraphError unless the built-in enumeration covers n vertices:
-    4 <= n <= 12 and even.  Larger inputs should come from externally
+    4 <= n <= 14 and even.  Larger inputs should come from externally
     generated graph6 files."""
     if n % 2 != 0:
         raise GraphError("cubic graphs need an even vertex count")
-    if not 4 <= n <= 12:
-        raise GraphError("built-in enumeration supports 4 <= n <= 12")
+    if not 4 <= n <= 14:
+        raise GraphError("built-in enumeration supports 4 <= n <= 14")
 
 
 def enumerate_connected_cubic(n):
@@ -128,10 +149,14 @@ def enumerate_connected_cubic(n):
             if new_def > 3 * (slots - 1):
                 continue
             for combo in itertools.combinations(deficient, d):
-                new_adj = list(adj) + [0]
+                col = 0
+                for u in combo:
+                    col |= 1 << u
+                if _beaten_by_swap(adj, col):
+                    continue
+                new_adj = list(adj) + [col]
                 for u in combo:
                     new_adj[u] |= 1 << k
-                    new_adj[k] |= 1 << u
                 # k's component can be all degree 3 only if k took 3 edges
                 if d == 3 and _closes_small_component(new_adj, k, n):
                     continue

@@ -2,8 +2,8 @@
 
 Each test prints exactly one PASS/FAIL line (straight to the real stdout so
 it shows under pytest's capture) and asserts the same condition.  The cubic
-sweep over n in {4, 6, 8, 10, 12} is shared across several checks via a
-module-scoped fixture.
+sweep over n in {4, 6, 8, 10, 12, 14} is shared across several checks via a
+module-scoped fixture; only criterion 1 reads n = 14.
 """
 
 import itertools
@@ -29,7 +29,7 @@ from oracles import (brute_alpha, brute_zero_forcing, cubic_graphs,
                      random_connected_bounded_degree_edges, random_edge_graph,
                      random_forest_edges)
 
-EXPECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+EXPECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
 
 # (graph, Z, alpha) triples accumulated by the other checks; the
 # counting bounds are re-verified over all of them at the end
@@ -52,14 +52,15 @@ def sweep():
     for n in sorted(EXPECTED_COUNTS):
         summary, certs = verify_batch(cubic_graphs(n))
         results[n] = (summary, certs)
-        for cert, g in zip(certs, cubic_graphs(n)):
-            _note(g, cert.z, cert.alpha)
+        if n <= 12:
+            for cert, g in zip(certs, cubic_graphs(n)):
+                _note(g, cert.z, cert.alpha)
     return results
 
 
 def test_criterion_1_cubic_sweep(sweep):
     ok = True
-    for n in (6, 8, 10, 12):
+    for n in (6, 8, 10, 12, 14):
         summary, certs = sweep[n]
         if len(certs) != EXPECTED_COUNTS[n]:
             ok = False
@@ -68,8 +69,8 @@ def test_criterion_1_cubic_sweep(sweep):
                     if b.bound_name == "z_le_alpha_plus_1"][0]
             if not (conj.applicable and conj.holds):
                 ok = False
-    _report(1, ok, "all 111 connected cubic graphs on 6..12 vertices "
-                   "(counts 2/5/19/85) satisfy Z <= alpha + 1")
+    _report(1, ok, "all 620 connected cubic graphs on 6..14 vertices "
+                   "(counts 2/5/19/85/509) satisfy Z <= alpha + 1")
 
 
 def test_criterion_2_smallest_tight_graph():

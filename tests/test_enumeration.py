@@ -20,6 +20,7 @@ ENUM_DIGEST = {
     8: "8993948d79d9e1591d86037a6e3d695b31a263fa94194069a3824a63b0e36bf4",
     10: "1e9a4bc69638bbc6021e71510890868e74779aac9f589b5d83e1d2c9bb8bfa78",
     12: "733291f17c62b7558855bfab5fe9001d32e71f964a7bc0423f5657f2a06e8211",
+    14: "71db65b014822d4f58f8dad114454879e248c0f86588b6f9701e29798ea75357",
 }
 
 
@@ -29,6 +30,7 @@ def test_known_counts():
     assert len(enumerate_connected_cubic(8)) == 5
     assert len(enumerate_connected_cubic(10)) == 19
     assert len(enumerate_connected_cubic(12)) == 85
+    assert len(cubic_graphs(14)) == 509  # OEIS A002851
 
 
 def test_counts_match_labeled_oracle():
@@ -48,20 +50,34 @@ def test_enumeration_matches_golden_digest():
 
 
 def _tested_partial_graphs(monkeypatch, sizes):
-    """(adj, k, verdict) for every partial graph the enumerator tests on
-    these sizes, with the column search deciding which branches it takes."""
-    seen = []
+    """(tested, dropped) on these sizes, as (adj, k, verdict) triples with
+    the column search's verdict: every partial graph the enumerator tests
+    with ``_is_canonical``, and every candidate that the swap test drops
+    before that test.  The column search decides which branches it takes."""
+    tested, dropped = [], []
+    beaten_by_swap = enumeration._beaten_by_swap
 
     def record(adj, k):
         verdict = is_canonical_by_columns(adj, k)
-        seen.append((tuple(adj), k, verdict))
+        tested.append((tuple(adj), k, verdict))
         return verdict
+
+    def record_drop(adj, col):
+        beaten = beaten_by_swap(adj, col)
+        if beaten:
+            k = len(adj)
+            new = [row | 1 << k if col >> u & 1 else row
+                   for u, row in enumerate(adj)] + [col]
+            dropped.append((tuple(new), k + 1,
+                            is_canonical_by_columns(new, k + 1)))
+        return beaten
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_is_canonical", record)
+        patch.setattr(enumeration, "_beaten_by_swap", record_drop)
         for n in sizes:
             enumerate_connected_cubic(n)
-    return seen
+    return tested, dropped
 
 
 def _relabeled(adj, k, rng):
@@ -87,15 +103,28 @@ def _random_graph(k, max_degree, rng):
     return adj
 
 
+def test_swap_test_drops_only_non_canonical_graphs(monkeypatch):
+    tested, dropped = _tested_partial_graphs(monkeypatch, (4, 6, 8, 10))
+    assert dropped
+    assert not [(adj, k) for adj, k, verdict in dropped if verdict]
+    # the prune pinned as work: without the swap test, _is_canonical runs
+    # 5,066 times here and accepts the same 612
+    assert len(tested) == 1208
+    assert sum(verdict for _, _, verdict in tested) == 612
+
+
 def test_is_canonical_matches_column_search(monkeypatch):
-    # every partial graph the enumerator tests up to n = 10, accepted or not
-    tested = _tested_partial_graphs(monkeypatch, (4, 6, 8, 10))
-    assert {verdict for _, _, verdict in tested} == {True, False}
-    for adj, k, verdict in tested:
+    # every partial graph the enumerator tests up to n = 10, accepted or
+    # not, and every one the swap test drops before that test
+    tested, dropped = _tested_partial_graphs(monkeypatch, (4, 6, 8, 10))
+    partial = tested + dropped
+    assert len(partial) >= 5066  # all that run without the swap test
+    assert {verdict for _, _, verdict in partial} == {True, False}
+    for adj, k, verdict in partial:
         assert enumeration._is_canonical(adj, k) == verdict, (adj, k)
     # and relabelings of them, and random graphs of maximum degree 4
     rng = random.Random(17)
-    cases = [_relabeled(adj, k, rng) for adj, k, _ in rng.sample(tested, 600)]
+    cases = [_relabeled(adj, k, rng) for adj, k, _ in rng.sample(partial, 600)]
     cases += [_random_graph(rng.randint(1, 9), 4, rng) for _ in range(600)]
     for adj in cases:
         k = len(adj)
@@ -129,4 +158,4 @@ def test_rejects_bad_n():
     with pytest.raises(GraphError):
         enumerate_connected_cubic(2)
     with pytest.raises(GraphError):
-        enumerate_connected_cubic(14)
+        enumerate_connected_cubic(16)

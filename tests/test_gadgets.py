@@ -242,6 +242,9 @@ TIGHT_CENSUS = {
     10: ({-1: 3, 0: 13, 1: 3}, ["I}KGGGB?w", "I}GOOOF@o", "IsP@PGXD_"]),
     12: ({-2: 6, -1: 42, 0: 34, 1: 3},
          ["K}KGGGA?_B_M", "K}GOOSC@GE?F", "K}GOOOE@OD?J"]),
+    14: ({-3: 13, -2: 167, -1: 248, 0: 76, 1: 5},
+         ["M}KGGGA?gA?H?K?B_", "M}KGGGA?_B?I?I?D_", "M}GOOOF@_A?A?B?B_",
+          "Ms\\_gC@?O@?C?F?F?", "MsP@P?SCOO_g?`?I_"]),
 }
 
 

@@ -442,7 +442,7 @@ def test_cli_bad_options_fail_before_any_work(tmp_path, capsys, monkeypatch):
     out, csv = tmp_path / "certs.jsonl", tmp_path / "certs.csv"
     for flags in (["--enumerate-n", "12", "--workers", "0"],
                   ["--enumerate-n", "12", "--budget-secs", "nan"],
-                  ["--enumerate-n", "14"], ["--enumerate-n", "7"]):
+                  ["--enumerate-n", "16"], ["--enumerate-n", "7"]):
         rc = main(["verify", "--out", str(out), "--csv", str(csv), *flags])
         assert rc == 2
         assert "error: " in capsys.readouterr().err
