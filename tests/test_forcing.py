@@ -557,25 +557,38 @@ def _check_bridge_program(g, z=None):
     assert is_zero_forcing_set(g, witness), (g.edges(), witness)
 
 
-def test_bridge_program_matches_wavefront_on_block_trees():
+def _block_tree_cases():
+    """The seeded random block trees of the bridge-program checks, in order."""
     rng = random.Random(79)
+    return [graph_from_edges(*random_block_tree_edges(rng.randint(2, 5), 5, rng))
+            for _ in range(1500)]
+
+
+def _tight_cases():
+    """(G_T, its Z when the tree is large) for every 3-1 tree with 4-14
+    vertices, each followed by its seeded relabelings, in order."""
+    rng = random.Random(83)
+    cases = []
+    for n in range(4, 15, 2):
+        for t in generate_31_trees(n):
+            g = build_tight_graph(t).result
+            z = len(minimum_path_cover(t.tree)) + n + 2  # Z(G_T) = Z(T) + n + 2
+            for h in [g] + [_relabeled(g, rng) for _ in range(3 if n <= 10 else 1)]:
+                cases.append((h, z if n > 10 else None))
+    return cases
+
+
+def test_bridge_program_matches_wavefront_on_block_trees():
     bridged = 0
-    for _ in range(1500):
-        n, edges = random_block_tree_edges(rng.randint(2, 5), 5, rng)
-        g = graph_from_edges(n, edges)
+    for g in _block_tree_cases():
         bridged += bool(bridges(g))
         _check_bridge_program(g)
     assert bridged >= 1300
 
 
 def test_bridge_program_on_tight_and_bridged_cubic_graphs():
-    rng = random.Random(83)
-    for n in range(4, 15, 2):
-        for t in generate_31_trees(n):
-            g = build_tight_graph(t).result
-            z = len(minimum_path_cover(t.tree)) + n + 2  # Z(G_T) = Z(T) + n + 2
-            for h in [g] + [_relabeled(g, rng) for _ in range(3 if n <= 10 else 1)]:
-                _check_bridge_program(h, z if n > 10 else None)
+    for h, z in _tight_cases():
+        _check_bridge_program(h, z)
     cubic = [g for n in range(4, 13, 2) for g in cubic_graphs(n) if bridges(g)]
     assert len(cubic) == 5  # one at n = 10, four at n = 12
     drawn = bridged_random_cubic()  # the bridged random_cubic benchmark inputs
@@ -585,14 +598,32 @@ def test_bridge_program_on_tight_and_bridged_cubic_graphs():
         _check_bridge_program(g)
 
 
+# SHA-256 of repr(zero_forcing_number(g)) over every G_T of
+# _tight_cases, the 70 bridged random_cubic inputs and _block_tree_cases,
+# in that order.  No certificate field reads Z's witness, so this is what
+# pins the witness that the bridge-tree program returns.
+BRIDGE_WITNESS_DIGEST = (
+    "78d626262fbdbb0a72f914e32477e9b501f1f26b12aa8f6f2622747d565a5dad")
+
+
+def test_bridge_witnesses_match_golden_digest():
+    graphs = [h for h, _ in _tight_cases()]
+    graphs += [g for _, _, g in bridged_random_cubic()] + _block_tree_cases()
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(repr(zero_forcing_number(g)).encode() + b"\n")
+    assert h.hexdigest() == BRIDGE_WITNESS_DIGEST
+
+
 def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
     # trees are settled in closed form; G_T runs the wavefront only on its
-    # 5-vertex gadgets plus at most one pendant leaf
-    sizes = []
+    # 5-vertex gadgets, and only once per state of the gadget's bridge to
+    # the tree: none, out (a pendant leaf) and in (one vertex blue)
+    calls = []
 
-    def recorded(g, *args):
-        sizes.append(g.n)
-        return _wavefront(g, *args)
+    def recorded(g, forbidden=0, deadline=None, pre=0):
+        calls.append((g.n, forbidden.bit_count(), pre.bit_count()))
+        return _wavefront(g, forbidden, deadline, pre)
 
     monkeypatch.setattr(forcing, "_wavefront", recorded)
     rng = random.Random(89)
@@ -600,10 +631,12 @@ def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
         n = rng.randint(20, 40)
         g = graph_from_edges(n, random_tree_edges(n, rng))
         assert zero_forcing_number(g)[0] == len(minimum_path_cover(g))
-    assert sizes == []
-    for t in generate_31_trees(8):
-        zero_forcing_number(build_tight_graph(t).result)
-    assert sizes and max(sizes) <= 6
+    assert calls == []
+    for n in range(6, 15, 2):
+        for t in generate_31_trees(n):
+            zero_forcing_number(build_tight_graph(t).result)
+            assert sorted(calls) == [(5, 0, 0), (5, 0, 1), (6, 1, 0)], n
+            calls.clear()
 
 
 def test_bridge_program_falls_back_to_the_wavefront():

@@ -1,3 +1,6 @@
+import hashlib
+import importlib
+import os
 import random
 import time
 
@@ -7,7 +10,7 @@ from zfalpha.forcing import SolverBudgetExceeded
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
 from zfalpha.graphs import (complete_bipartite, complete_graph, cycle_graph,
                             disjoint_union, graph_from_edges, induced_subgraph,
-                            path_graph, petersen_graph, prism_graph,
+                            parse_graph6, path_graph, petersen_graph, prism_graph,
                             star_graph)
 from zfalpha.independence import (_clique_cover, induced_edge_count,
                                   is_independent, is_near_independent,
@@ -107,3 +110,35 @@ def test_budget_exceeded():
     g = random_edge_graph(graph_from_edges, 30, 0.3, rng)
     with pytest.raises(SolverBudgetExceeded):
         maximum_independent_set(g, deadline=time.monotonic() - 1)
+
+
+# SHA-256 of repr((alpha, witness)) over the cubic graphs with n <= 12, G_T
+# for the 3-1 trees on 4, 6 and 8 vertices (16-28 vertices), the seed-0
+# random_cubic benchmark inputs and 300 seeded G(n, p) graphs with n <= 20,
+# in that order.  The certificate rows read the witness only through the
+# constructions built from it; this pins the search order itself.
+ALPHA_DIGEST = (
+    "31fb2a3f91bd6bcab07e76cc012138f8c96d9fd94cfcec5f74e6579ff8274704")
+
+
+def test_alpha_witnesses_match_golden_digest(monkeypatch, tmp_path):
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    monkeypatch.syspath_prepend(bench)  # imported read-only
+    path = importlib.import_module("workloads").RandomCubic().setup(
+        0, str(tmp_path))["path"]
+    with open(path, "rb") as fh:
+        drawn = [parse_graph6(ln) for ln in fh.read().split()]
+    graphs = [g for n in range(4, 13, 2) for g in cubic_graphs(n)]
+    graphs += [build_tight_graph(t).result for n in (4, 6, 8)
+               for t in generate_31_trees(n)]
+    graphs += drawn
+    rng = random.Random(113)
+    graphs += [random_edge_graph(graph_from_edges, rng.randint(1, 20),
+                                 rng.random(), rng) for _ in range(300)]
+    h = hashlib.sha256()
+    for g in graphs:
+        cert = maximum_independent_set(g)
+        h.update(repr((cert.alpha, cert.witness)).encode() + b"\n")
+    assert len(drawn) == 40
+    assert h.hexdigest() == ALPHA_DIGEST
