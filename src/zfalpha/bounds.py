@@ -94,7 +94,7 @@ def minimum_path_cover(f):
 
 def _cycle_components(g, h_mask):
     """Components of the induced subgraph on h_mask that contain a cycle."""
-    return [c for c in components(g, h_mask)
+    return [c for c in components(g.adj, h_mask)
             if induced_edge_count(g, c) >= c.bit_count()]
 
 
@@ -151,7 +151,7 @@ def _swap_once(g, a_mask, cycle_comps):
     same size and lowers the cycle count wins.
     """
     h_mask = g.full_mask & ~a_mask
-    comp_of = {v: comp for comp in components(g, h_mask) for v in bits(comp)}
+    comp_of = {v: comp for comp in components(g.adj, h_mask) for v in bits(comp)}
 
     def h_degree(v):
         return (g.adj[v] & h_mask).bit_count()
@@ -250,7 +250,7 @@ def forcing_set_from_decycling(g, s_mask, mis=None):
     if not classify_degrees(g).is_cubic:
         raise GraphError("forcing_set_from_decycling requires a cubic graph")
     f_mask = g.full_mask & ~s_mask
-    c = len(components(g, f_mask))
+    c = len(components(g.adj, f_mask))
     if induced_edge_count(g, f_mask) != f_mask.bit_count() - c:
         raise GraphError("g - S must be acyclic")
 
@@ -308,7 +308,7 @@ def _first_decycling_set(g, size, deadline=None):
             taken = chosen | 1 << u
             rest = full & ~taken
             left = edges - (g.adj[u] & rest).bit_count()
-            if (left - rest.bit_count() + len(components(g, rest))
+            if (left - rest.bit_count() + len(components(g.adj, rest))
                     <= slack * (picks - 1)):
                 if picks == 1:
                     return taken
@@ -410,7 +410,7 @@ def _degree_alpha_set(g, a_mask=None):
     if a_mask is None:
         a_mask = maximum_independent_set(g).witness
     blue = a_mask
-    for comp in components(g, g.full_mask & ~a_mask):
+    for comp in components(g.adj, g.full_mask & ~a_mask):
         size = comp.bit_count()
         degs = {u: (g.adj[u] & comp).bit_count() for u in bits(comp)}
         maxd = max(degs.values())

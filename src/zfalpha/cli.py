@@ -134,10 +134,10 @@ def _cmd_trace(args):
     blue = 0
     if args.blue:
         for tok in args.blue.split(","):
-            v = int(tok)
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range for n={g.n}")
-            blue |= 1 << v
+            if not (tok.strip().isdecimal() and int(tok) < g.n):
+                raise ValueError(f"--blue: {tok!r} is not a vertex number "
+                                 f"below {g.n}")
+            blue |= 1 << int(tok)
     print(trace_forcing(g, blue, dot=args.dot))
     return 0
 

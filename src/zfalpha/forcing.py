@@ -1,10 +1,5 @@
 """Zero forcing: closure, chronological forces, forts, and the exact search.
 
-``closure`` is one worklist kernel: only a blue vertex whose white
-neighbourhood has just shrunk can gain a force, so a closure that extends
-an already-closed set starts from the new vertices and their blue
-neighbours.
-
 The exact search is the closure dynamic program ("wavefront") of Brimkov,
 Fast & Hicks (EJOR 2019) over closed blue sets, expanded one cost level at
 a time, started with all members but one of each class of false twins blue
@@ -44,17 +39,18 @@ bridges is therefore ``_wavefront`` on the block plus a forbidden leaf at
 each out-end, with each in-end blue at no cost (``pre``).  Two out-ends at
 one vertex are infeasible (the two leaves are forbidden twins); two in-ends
 at one vertex are harmless (the later force finds the vertex blue).  Each
-tree of blocks is rooted at its lowest block and solved from the leaves
-up, over every state vector of a block's child bridges.  A one-vertex block
+tree of blocks is rooted at its lowest block and solved from the leaves up,
+over every state vector of a block's child bridges.  A one-vertex block
 costs 0 with an in-end and 1 without one, so its children combine by
 counts; a larger block with more than ``MAX_BLOCK_BRIDGES`` bridges sends
-the whole graph to the wavefront.  The witness is the union of the block
-witnesses, and it is re-checked by ``closure`` on G.
-
-With ``pre`` the wavefront builds its twin classes from the vertices
-outside ``pre`` only: swapping two twins that are both outside ``pre``
-fixes ``pre`` and so still maps the problem onto itself, while a swap with
-a vertex in ``pre`` would not.
+the whole graph to the wavefront.  Blocks are solved in block labels (each
+vertex's rank in its block) and keyed by shape (the adjacency in those
+labels), so a call pays once per distinct shape: one wavefront per (shape,
+out-ends, in-ends), and one table per (shape, parent end, children's ends
+and costs), so a childless block's once per (shape, parent end); the
+gadgets of G_T share one shape.  The top-down pass maps to G only the block
+witnesses of the states it picks; their union, re-checked by ``closure`` on
+G, is the witness.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -66,8 +62,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .graphs import (Graph, GraphError, bits, bridges, components,
-                     induced_subgraph, is_connected, mask_of)
+from .graphs import (Graph, GraphError, bits, bridge_blocks, bridges,
+                     is_connected, mask_of)
 
 
 class NotForcingSetError(GraphError):
@@ -350,15 +346,7 @@ def _bridge_tree_zfs(g, cut, deadline):
     """Minimum zero forcing set of g from the bridge-tree dynamic program
     over the bridges ``cut`` (see the module docstring), or None when a
     block of two or more vertices has more than ``MAX_BLOCK_BRIDGES``."""
-    adj = list(g.adj)
-    for u, v in cut:
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-    blocks = components(Graph(g.n, tuple(adj)), g.full_mask)
-    block_of = [0] * g.n
-    for i, members in enumerate(blocks):
-        for v in bits(members):
-            block_of[v] = i
+    blocks, block_of = bridge_blocks(g, cut)
     ends = [[] for _ in blocks]  # (own end, other end) of each bridge at a block
     for u, v in cut:
         ends[block_of[u]].append((u, v))
@@ -368,72 +356,66 @@ def _bridge_tree_zfs(g, cut, deadline):
         return None
 
     # root each tree of blocks at its lowest block; parents precede children
-    parent = [None] * len(blocks)  # (own end, parent's end)
-    seen = [False] * len(blocks)
-    order, roots = [], []
+    parent, order = {}, []  # block -> (own end, parent's end), None at a root
     for root in range(len(blocks)):
-        if seen[root]:
+        if root in parent:
             continue
-        seen[root] = True
-        roots.append(root)
-        k = len(order)
-        order.append(root)
-        while k < len(order):
-            i = order[k]
-            k += 1
+        parent[root], tree = None, [root]
+        for i in tree:  # breadth first: the loop walks what it appends
             for x, y in ends[i]:
-                j = block_of[y]
-                if not seen[j]:
-                    seen[j] = True
-                    parent[j] = (y, x)
-                    order.append(j)
+                if block_of[y] not in parent:
+                    parent[block_of[y]] = (y, x)
+                    tree.append(block_of[y])
+        order += tree
+    roots = [i for i in order if parent[i] is None]
     children = [[e for e in at if e != parent[i]] for i, at in enumerate(ends)]
 
-    subgraphs = {}  # block -> (induced subgraph, its vertices in g)
-    # (block adjacency, out-ends, in-ends) -> witness, all in block labels;
-    # blocks that are the same labelled graph (the gadgets of G_T) share it
-    solved = {}
+    # block labels and block shapes (see the module docstring); a block of
+    # consecutive vertices is relabelled by a shift
+    keep = [list(bits(members)) for members in blocks]
+    label = {v: k for vs in keep for k, v in enumerate(vs)}
+    shapes = [tuple((g.adj[v] & members) >> vs[0] if len(vs) > vs[-1] - vs[0]
+                    else mask_of(label[u] for u in bits(g.adj[v] & members))
+                    for v in vs) for members, vs in zip(blocks, keep)]
+    solved = {}  # (shape, out-ends, in-ends) -> witness, in block labels
+    tables = {}  # (shape, parent end, children's ends and costs) -> table
 
-    def block_witness(i, outs, ins):
-        """Least S in block i such that S and the blue ``ins`` force the block
-        plus a white pendant leaf at each vertex of ``outs``."""
-        if i not in subgraphs:
-            subgraphs[i] = induced_subgraph(g, blocks[i])
-        h, keep = subgraphs[i]
-        outs = mask_of(keep.index(v) for v in bits(outs))
-        ins = mask_of(keep.index(v) for v in bits(ins))
-        key = (h.adj, outs, ins)
+    def solve(shape, outs, ins):
+        """Least S in the block ``shape`` such that S and the blue ``ins``
+        force it plus a white pendant leaf at each vertex of ``outs``."""
+        key = (shape, outs, ins)
         if key not in solved:
-            rows = list(h.adj)
+            rows = list(shape)
             for k in bits(outs):
                 rows[k] |= 1 << len(rows)
                 rows.append(1 << k)
-            leaves = (1 << len(rows)) - (1 << h.n)
+            leaves = (1 << len(rows)) - (1 << len(shape))
             solved[key] = _wavefront(Graph(len(rows), tuple(rows)), leaves,
                                      deadline, ins)
-        return mask_of(keep[k] for k in bits(solved[key]))
+        return solved[key]
 
     # table[i][s]: (least cost of block i's side, its children's states, the
-    # block's own witness) with the parent bridge in state s seen from block i
+    # block's own witness in its labels) with the parent bridge in state s
+    # seen from block i.  It reads only the costs of the children's tables,
+    # so blocks that agree on the key of ``tables`` share one table
     table = [None] * len(blocks)
     for i in reversed(order):
         _check_deadline(deadline, "zero-forcing")
-        kids = [(x, table[block_of[y]]) for x, y in children[i]]
-        entries = []
-        for state in ((_NONE,) if parent[i] is None else (_NONE, _OUT, _IN)):
-            if blocks[i] & blocks[i] - 1:
-                entries.append(_best_block_states(
-                    i, parent[i], state, kids, block_witness))
-            else:
-                entries.append(_best_vertex_states(blocks[i], state, kids))
-        table[i] = entries
+        end = None if parent[i] is None else label[parent[i][0]]
+        kids = tuple((label[x], tuple(e[0] for e in table[block_of[y]]))
+                     for x, y in children[i])
+        if (shapes[i], end, kids) not in tables:
+            tables[shapes[i], end, kids] = [
+                _best_block_states(shapes[i], end, state, kids, solve)
+                if len(shapes[i]) > 1 else _best_vertex_states(state, kids)
+                for state in ((_NONE,) if end is None else (_NONE, _OUT, _IN))]
+        table[i] = tables[shapes[i], end, kids]
 
-    witness = 0
-    todo = [(root, _NONE) for root in roots]
+    witness, todo = 0, [(root, _NONE) for root in roots]
     while todo:
         i, state = todo.pop()
         _, states, own = table[i][state]
-        witness |= own
+        witness |= mask_of(keep[i][k] for k in bits(own))
         todo += [(block_of[y], _FLIP[s]) for (_, y), s in zip(children[i], states)]
     if (closure(g, witness) != g.full_mask
             or witness.bit_count() != sum(table[r][_NONE][0] for r in roots)):
@@ -442,17 +424,15 @@ def _bridge_tree_zfs(g, cut, deadline):
     return witness
 
 
-def _best_block_states(i, parent_end, state, kids, block_witness):
-    """Least cost over the states of block i's child bridges: its block
-    wavefront plus each child's cost in the matching state.  Every state
-    vector is tried, in ``itertools.product`` order; a vector is dropped
-    before its wavefront when the children alone reach the best cost."""
+def _best_block_states(shape, end, state, kids, solve):
+    """Least cost over the states of a block's child bridges, in block labels:
+    its block wavefront plus each child's cost in the matching state.  Every
+    state vector is tried, in ``itertools.product`` order; a vector is
+    dropped before its wavefront when the children alone reach the best."""
     best = (float("inf"), None, 0)
-    own = {_OUT: 0, _IN: 0}
-    if state != _NONE:
-        own[state] = 1 << parent_end[0]
+    own = {_OUT: 0, _IN: 0, state: 0 if state == _NONE else 1 << end}
     for states in itertools.product((_NONE, _OUT, _IN), repeat=len(kids)):
-        rest = sum(t[_FLIP[s]][0] for (_, t), s in zip(kids, states))
+        rest = sum(costs[_FLIP[s]] for (_, costs), s in zip(kids, states))
         if rest >= best[0]:
             continue
         outs, ins = own[_OUT], own[_IN]
@@ -464,33 +444,32 @@ def _best_block_states(i, parent_end, state, kids, block_witness):
             elif s == _IN:
                 ins |= 1 << x
         else:
-            found = block_witness(i, outs, ins)
+            found = solve(shape, outs, ins)
             if found.bit_count() + rest < best[0]:
                 best = (found.bit_count() + rest, states, found)
     return best
 
 
-def _best_vertex_states(vertex, state, kids):
-    """``_best_block_states`` for the one-vertex block ``vertex``, in closed
-    form: x forces at most one neighbour, is free once any neighbour forces
-    it and costs 1 otherwise.  So the children combine by counts, in one
-    pass over (out-ends so far, any in-end so far), with no cap on them."""
-    start = (int(state == _OUT), state == _IN)
-    reach = {start: (0, ())}
-    for _, t in kids:
+def _best_vertex_states(state, kids):
+    """``_best_block_states`` for a one-vertex block, in closed form: x
+    forces at most one neighbour, is free once any neighbour forces it and
+    costs 1 otherwise.  So the children combine by counts, in one pass over
+    (out-ends so far, any in-end so far), with no cap on them."""
+    reach = {(int(state == _OUT), state == _IN): (0, ())}
+    for _, (none, out, into) in kids:  # the child's costs, seen from it
         step = {}
         for (outs, any_in), (cost, states) in reach.items():
-            for s in (_NONE, _OUT, _IN):
-                key = (outs + (s == _OUT), any_in or s == _IN)
-                if key[0] < 2:
-                    total = cost + t[_FLIP[s]][0]
-                    if total < step.get(key, (float("inf"),))[0]:
-                        step[key] = (total, states + (s,))
+            for s, key, total in ((_NONE, (outs, any_in), cost + none),
+                                  (_OUT, (1, any_in), cost + into),
+                                  (_IN, (outs, True), cost + out)):
+                if (s != _OUT or not outs) and (
+                        key not in step or total < step[key][0]):
+                    step[key] = (total, states + (s,))
         reach = step
     best = (float("inf"), None, 0)
     for (_, any_in), (cost, states) in reach.items():
         if cost + (not any_in) < best[0]:
-            best = (cost + (not any_in), states, 0 if any_in else vertex)
+            best = (cost + (not any_in), states, int(not any_in))
     return best
 
 

@@ -187,16 +187,18 @@ def write_graph6(g):
 # structural predicates
 
 
-def components(g, within):
-    """Component masks of the subgraph induced by the vertex mask ``within``,
-    ordered by smallest member."""
+def components(adj, within):
+    """Component masks of the subgraph induced by the vertex mask ``within``
+    under the neighbour masks ``adj``, ordered by smallest member."""
     comps = []
     while within:
         comp = frontier = within & -within
         while frontier:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
+            while frontier:  # bits(frontier) inlined: alpha peels often
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
             frontier = nxt & within & ~comp
             comp |= frontier
         comps.append(comp)
@@ -211,7 +213,7 @@ def induced_edge_count(g, members):
 
 def connected_components(g):
     """Component masks, ordered by smallest member."""
-    return components(g, g.full_mask)
+    return components(g.adj, g.full_mask)
 
 
 def is_connected(g):
@@ -260,13 +262,25 @@ def bridges(g):
     return sorted(found)
 
 
+def bridge_blocks(g, cut):
+    """Blocks of g, the components of g minus its bridges ``cut``, as masks
+    ordered by smallest member, and a map from each vertex to its block."""
+    adj = list(g.adj)
+    for u, v in cut:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    blocks = components(adj, g.full_mask)
+    return blocks, {v: i for i, members in enumerate(blocks)
+                    for v in bits(members)}
+
+
 def is_acyclic(g, within=None):
     """True iff the subgraph induced by ``within`` (default: all of g) is a
     forest, i.e. has |within| minus its component count edges."""
     if within is None:
         within = g.full_mask
     edges = induced_edge_count(g, within)
-    return edges == within.bit_count() - len(components(g, within))
+    return edges == within.bit_count() - len(components(g.adj, within))
 
 
 @dataclass(frozen=True)
@@ -313,8 +327,12 @@ def path_order(adj, comp):
     """Members of ``comp``, a path or cycle under the neighbour masks ``adj``,
     in walk order: a path from its lowest endpoint, a cycle from its lowest
     vertex toward its lower neighbour."""
-    start = next((v for v in bits(comp) if (adj[v] & comp).bit_count() <= 1),
-                 (comp & -comp).bit_length() - 1)
+    start, rest = (comp & -comp).bit_length() - 1, comp
+    while rest:  # bits(comp) inlined: the lowest vertex of degree <= 1, if any
+        v = (rest & -rest).bit_length() - 1
+        rest ^= 1 << v
+        if (adj[v] & comp).bit_count() <= 1:
+            start, rest = v, 0
     walk = [start]
     left = comp & ~(1 << start)
     nxt = adj[start] & left

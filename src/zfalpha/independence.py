@@ -35,7 +35,7 @@ def _solve_degree_le2(g, cand):
     vertex of each one's ``path_order`` walk, less the last of an odd cycle.
     """
     chosen = 0
-    for comp in components(g, cand):
+    for comp in components(g.adj, cand):
         walk = path_order(g.adj, comp)
         chosen |= mask_of(walk[::2])
         if len(walk) % 2 and g.adj[walk[0]] >> walk[-1] & 1:
@@ -88,8 +88,10 @@ def maximum_independent_set(g, deadline=None):
         if cand == 0:
             consider(cur)
             return
-        best_v, best_d = -1, -1
-        for v in bits(cand):
+        best_v, best_d, rest = -1, -1, cand
+        while rest:  # bits(cand) inlined: this runs at every node
+            v = (rest & -rest).bit_length() - 1
+            rest ^= 1 << v
             d = (g.adj[v] & cand).bit_count()
             if d > best_d:
                 best_v, best_d = v, d

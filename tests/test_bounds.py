@@ -13,7 +13,7 @@ from zfalpha.bounds import (_first_decycling_set, _linear_forest_paths,
 from zfalpha.forcing import (SolverBudgetExceeded, is_zero_forcing_set,
                              zero_forcing_number)
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
-from zfalpha.graphs import (Graph, GraphError, bits, classify_degrees,
+from zfalpha.graphs import (GraphError, bits, classify_degrees,
                             complete_bipartite, complete_graph, components,
                             connected_components, cycle_graph, disjoint_union,
                             graph_from_edges, induced_subgraph, is_acyclic,
@@ -55,7 +55,7 @@ def test_linear_forest_paths_match_component_walks():
         adj = [row & within if within >> v & 1 else 0
                for v, row in enumerate(g.adj)]
         expected = [path_order(adj, comp)
-                    for comp in components(Graph(n, tuple(adj)), within)]
+                    for comp in components(adj, within)]
         assert _linear_forest_paths(adj, within) == expected
 
 

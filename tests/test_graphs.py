@@ -108,7 +108,7 @@ def test_acyclicity_matches_dfs_oracle():
             assert is_acyclic(g, m) == brute_is_acyclic(sub)
             expect = [mask_of(keep[i] for i in bits(c))
                       for c in connected_components(sub)]
-            assert components(g, m) == expect
+            assert components(g.adj, m) == expect
 
 
 def test_bridges_match_networkx():

@@ -351,6 +351,19 @@ def test_cli_construct_and_trace(capsys):
     assert "graph forcing {" in capsys.readouterr().out
 
 
+def test_cli_trace_names_a_bad_blue_vertex(capsys):
+    # a token that is not a vertex of the graph names the option and itself
+    for blue, token in (("0,", "''"), ("a", "'a'"), ("0,3", "'3'"),
+                        ("-1", "'-1'"), ("1.0", "'1.0'")):
+        assert main(["trace", "Bg", "--blue", blue]) == 2, blue
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --blue: {token} is not a vertex "
+                                "number below 3\n"), blue
+    assert main(["trace", "Bg", "--blue", " 2, 0"]) == 0
+    assert capsys.readouterr().out.strip() == "0→1"  # spaces are allowed
+
+
 def test_cli_gadget_requires_input(capsys):
     rc = main(["construct", "--gadget", "g2"])
     assert rc == 2
