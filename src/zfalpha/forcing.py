@@ -372,8 +372,10 @@ def _bridge_tree_zfs(g, cut, deadline):
 
     # block labels and block shapes (see the module docstring); a block of
     # consecutive vertices is relabelled by a shift
-    keep = [list(bits(members)) for members in blocks]
-    label = {v: k for vs in keep for k, v in enumerate(vs)}
+    keep, label = [[] for _ in blocks], [0] * g.n
+    for v in range(g.n):  # each block's vertices in ascending order
+        label[v] = len(keep[block_of[v]])
+        keep[block_of[v]].append(v)
     shapes = [tuple((g.adj[v] & members) >> vs[0] if len(vs) > vs[-1] - vs[0]
                     else mask_of(label[u] for u in bits(g.adj[v] & members))
                     for v in vs) for members, vs in zip(blocks, keep)]
@@ -383,16 +385,15 @@ def _bridge_tree_zfs(g, cut, deadline):
     def solve(shape, outs, ins):
         """Least S in the block ``shape`` such that S and the blue ``ins``
         force it plus a white pendant leaf at each vertex of ``outs``."""
-        key = (shape, outs, ins)
-        if key not in solved:
+        if (shape, outs, ins) not in solved:
             rows = list(shape)
             for k in bits(outs):
                 rows[k] |= 1 << len(rows)
                 rows.append(1 << k)
             leaves = (1 << len(rows)) - (1 << len(shape))
-            solved[key] = _wavefront(Graph(len(rows), tuple(rows)), leaves,
-                                     deadline, ins)
-        return solved[key]
+            solved[shape, outs, ins] = _wavefront(
+                Graph(len(rows), tuple(rows)), leaves, deadline, ins)
+        return solved[shape, outs, ins]
 
     # table[i][s]: (least cost of block i's side, its children's states, the
     # block's own witness in its labels) with the parent bridge in state s

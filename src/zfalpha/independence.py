@@ -73,7 +73,7 @@ def maximum_independent_set(g, deadline=None):
     witness is the first maximum set in that fixed order, whatever the bound.
     Deterministic lowest-index tie-breaking throughout.
     """
-    best = [0, 0]  # size, mask
+    best, adj = [0, 0], g.adj  # best: size, mask
 
     def consider(mask):
         size = mask.bit_count()
@@ -92,16 +92,16 @@ def maximum_independent_set(g, deadline=None):
         while rest:  # bits(cand) inlined: this runs at every node
             v = (rest & -rest).bit_length() - 1
             rest ^= 1 << v
-            d = (g.adj[v] & cand).bit_count()
+            d = (adj[v] & cand).bit_count()
             if d > best_d:
                 best_v, best_d = v, d
         if best_d <= 2:
             consider(cur | _solve_degree_le2(g, cand))
             return
-        if cur_size + _clique_cover(g.adj, cand) <= best[0]:
+        if cur_size + _clique_cover(adj, cand) <= best[0]:
             return
         v = best_v
-        expand(cand & ~(g.adj[v] | (1 << v)), cur | (1 << v))
+        expand(cand & ~(adj[v] | (1 << v)), cur | (1 << v))
         expand(cand & ~(1 << v), cur)
 
     expand(g.full_mask, 0)

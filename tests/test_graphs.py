@@ -5,8 +5,9 @@ import networkx as nx
 import pytest
 
 from zfalpha.graphs import (Graph, Graph6Error, GraphError,
-                            IsolatedVertexError, bits, bipartition, bridges,
-                            claw_centers, classify_degrees, complete_bipartite,
+                            IsolatedVertexError, bits, bipartition,
+                            bridge_blocks, bridges, claw_centers,
+                            classify_degrees, complete_bipartite,
                             complete_graph, components, connected_components,
                             cycle_graph, disjoint_union, graph_from_edges,
                             induced_subgraph, is_acyclic, is_complete,
@@ -132,6 +133,13 @@ def test_bridges_match_networkx():
     for g in cases:
         expect = sorted(tuple(sorted(e)) for e in nx.bridges(nx_graph(g)))
         assert bridges(g) == expect, g.edges()
+        # the blocks are the components of g minus its bridges
+        h = nx_graph(g)
+        h.remove_edges_from(expect)
+        blocks = sorted((mask_of(c) for c in nx.connected_components(h)),
+                        key=lambda m: m & -m)
+        assert bridge_blocks(g, expect) == (
+            blocks, {v: i for i, m in enumerate(blocks) for v in bits(m)})
     assert bridges(star_graph(6)) == [(0, v) for v in range(1, 7)]
     assert bridges(cycle_graph(5)) == []
 
