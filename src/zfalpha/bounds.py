@@ -54,12 +54,7 @@ class EmbeddabilityReport:
 def _linear_forest_paths(adj, within):
     """Paths of the linear forest on ``within`` under the neighbour masks
     ``adj``, each as its ``path_order`` walk, ordered by smallest member."""
-    paths = []
-    while within:
-        walk = path_order(adj, within)  # from the lowest endpoint left
-        paths.append(walk)
-        within &= ~mask_of(walk)
-    return sorted(paths, key=min)
+    return [path_order(adj, comp) for comp in components(adj, within)]
 
 
 def minimum_path_cover(f):

@@ -15,10 +15,10 @@ many leaves.  ``min_zfset_avoiding`` runs it on the whole graph.
 bridge or fewer than ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices.  Otherwise
 it combines the blocks, the components of G minus its bridges, by a
 dynamic program over the bridge forest: the cut-vertex technique of Row
-(Linear Algebra Appl. 2012), applied to bridges.  For a
-bridge uv with sides G1 ∋ u and G2 ∋ v, write H + leaf@x for H with a new
-pendant vertex at x that may not be in the set, and Z(H | x) for the least
-|S| such that S and a blue x force H.  Then
+(Linear Algebra Appl. 2012), applied to bridges.  For a bridge uv with
+sides G1 ∋ u and G2 ∋ v, write H + leaf@x for H with a new pendant vertex
+at x that may not be in the set, and Z(H | x) for the least |S| such that
+S and a blue x force H.  Then
 
     Z(G) = min(Z(G1) + Z(G2), Z(G1 + leaf@u) + Z(G2 | v),
                Z(G1 | u) + Z(G2 + leaf@v)).
@@ -46,11 +46,11 @@ counts; a larger block with more than ``MAX_BLOCK_BRIDGES`` bridges sends
 the whole graph to the wavefront.  Blocks are solved in block labels (each
 vertex's rank in its block) and keyed by shape (the adjacency in those
 labels), so a call pays once per distinct shape: one wavefront per (shape,
-out-ends, in-ends), and one table per (shape, parent end, children's ends
-and costs), so a childless block's once per (shape, parent end); the
-gadgets of G_T share one shape.  The top-down pass maps to G only the block
-witnesses of the states it picks; their union, re-checked by ``closure`` on
-G, is the witness.
+out-ends, in-ends) and one table per (shape, parent end, children's ends
+and costs), which a childless block computes once per (shape, parent end);
+the gadgets of G_T share one shape.  The top-down pass maps to G only the
+block witnesses of the states it picks; their union, re-checked by
+``closure`` on G, is the witness.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -357,6 +357,7 @@ def _bridge_tree_zfs(g, cut, deadline):
 
     # root each tree of blocks at its lowest block; parents precede children
     parent, order = {}, []  # block -> (own end, parent's end), None at a root
+    children = [[] for _ in blocks]  # the ends at a block, less its parent's
     for root in range(len(blocks)):
         if root in parent:
             continue
@@ -365,13 +366,12 @@ def _bridge_tree_zfs(g, cut, deadline):
             for x, y in ends[i]:
                 if block_of[y] not in parent:
                     parent[block_of[y]] = (y, x)
+                    children[i].append((x, y))
                     tree.append(block_of[y])
         order += tree
     roots = [i for i in order if parent[i] is None]
-    children = [[e for e in at if e != parent[i]] for i, at in enumerate(ends)]
 
-    # block labels and block shapes (see the module docstring); a block of
-    # consecutive vertices is relabelled by a shift
+    # block labels and shapes; a block of consecutive vertices is shifted
     keep, label = [[] for _ in blocks], [0] * g.n
     for v in range(g.n):  # each block's vertices in ascending order
         label[v] = len(keep[block_of[v]])
@@ -397,26 +397,28 @@ def _bridge_tree_zfs(g, cut, deadline):
 
     # table[i][s]: (least cost of block i's side, its children's states, the
     # block's own witness in its labels) with the parent bridge in state s
-    # seen from block i.  It reads only the costs of the children's tables,
-    # so blocks that agree on the key of ``tables`` share one table
-    table = [None] * len(blocks)
+    # seen from block i; costs[i]: those costs.  A table reads only its
+    # children's costs, so blocks that agree on its key share it
+    table, costs = [None] * len(blocks), [None] * len(blocks)
     for i in reversed(order):
         _check_deadline(deadline, "zero-forcing")
         end = None if parent[i] is None else label[parent[i][0]]
-        kids = tuple((label[x], tuple(e[0] for e in table[block_of[y]]))
-                     for x, y in children[i])
-        if (shapes[i], end, kids) not in tables:
-            tables[shapes[i], end, kids] = [
+        kids = tuple((label[x], costs[block_of[y]]) for x, y in children[i])
+        key = shapes[i], end, kids
+        if key not in tables:
+            entries = [
                 _best_block_states(shapes[i], end, state, kids, solve)
                 if len(shapes[i]) > 1 else _best_vertex_states(state, kids)
                 for state in ((_NONE,) if end is None else (_NONE, _OUT, _IN))]
-        table[i] = tables[shapes[i], end, kids]
+            tables[key] = entries, tuple(e[0] for e in entries)
+        table[i], costs[i] = tables[key]
 
     witness, todo = 0, [(root, _NONE) for root in roots]
     while todo:
         i, state = todo.pop()
         _, states, own = table[i][state]
-        witness |= mask_of(keep[i][k] for k in bits(own))
+        for k in bits(own):
+            witness |= 1 << keep[i][k]
         todo += [(block_of[y], _FLIP[s]) for (_, y), s in zip(children[i], states)]
     if (closure(g, witness) != g.full_mask
             or witness.bit_count() != sum(table[r][_NONE][0] for r in roots)):

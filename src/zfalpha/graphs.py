@@ -65,8 +65,10 @@ class Graph:
             if row & ~full:
                 raise GraphError(f"neighbor out of range at vertex {v}")
         for v, row in enumerate(self.adj):
-            for u in bits(row):
-                if not self.adj[u] & (1 << v):
+            while row:  # bits(row) inlined: every Graph is checked
+                u = (row & -row).bit_length() - 1
+                row ^= 1 << u
+                if not self.adj[u] >> v & 1:
                     raise GraphError(f"asymmetric edge {v}-{u}")
 
     @property
@@ -243,22 +245,23 @@ def bridges(g):
         while stack:
             frame = stack[-1]
             v, parent, rest = frame
-            if rest:
-                w_bit = rest & -rest
-                frame[2] = rest ^ w_bit
-                w = w_bit.bit_length() - 1
+            while rest:  # back edges in this loop, a tree edge leaves it
+                w = (rest & -rest).bit_length() - 1
+                rest ^= 1 << w
                 if order[w] < 0:
+                    frame[2] = rest
                     order[w] = low[w] = count
                     count += 1
                     stack.append([w, v, adj[w] & ~(1 << v)])
-                elif order[w] < low[v]:
+                    break
+                if order[w] < low[v]:
                     low[v] = order[w]
-                continue
-            stack.pop()
-            if parent >= 0:
-                if low[v] > order[parent]:
-                    found.append((v, parent) if v < parent else (parent, v))
-                low[parent] = min(low[parent], low[v])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    if low[v] > order[parent]:
+                        found.append((v, parent) if v < parent else (parent, v))
+                    low[parent] = min(low[parent], low[v])
     return sorted(found)
 
 
@@ -270,8 +273,7 @@ def bridge_blocks(g, cut):
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
     blocks = components(adj, g.full_mask)
-    return blocks, {v: i for i, members in enumerate(blocks)
-                    for v in bits(members)}
+    return blocks, {v: i for i, m in enumerate(blocks) for v in bits(m)}
 
 
 def is_acyclic(g, within=None):

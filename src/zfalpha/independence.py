@@ -74,6 +74,7 @@ def maximum_independent_set(g, deadline=None):
     Deterministic lowest-index tie-breaking throughout.
     """
     best, adj = [0, 0], g.adj  # best: size, mask
+    top = max((row.bit_count() for row in adj), default=0)  # no degree beats it
 
     def consider(mask):
         size = mask.bit_count()
@@ -89,7 +90,7 @@ def maximum_independent_set(g, deadline=None):
             consider(cur)
             return
         best_v, best_d, rest = -1, -1, cand
-        while rest:  # bits(cand) inlined: this runs at every node
+        while rest and best_d < top:  # bits(cand) inlined: runs at every node
             v = (rest & -rest).bit_length() - 1
             rest ^= 1 << v
             d = (adj[v] & cand).bit_count()
