@@ -54,6 +54,9 @@ def _vset(mask):
 
 
 def _cmd_compute(args):
+    # a bad option is reported before any graph is loaded or solved
+    if args.fort_cap < 1:
+        raise ValueError("--fort-cap must be at least 1")
     want_all = not (args.z or args.alpha or args.phi or args.forts)
     for g in _load_graphs(args.graph):
         g6 = write_graph6(g).decode("ascii")

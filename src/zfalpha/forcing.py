@@ -43,14 +43,19 @@ tree of blocks is rooted at its lowest block and solved from the leaves up,
 over every state vector of a block's child bridges.  A one-vertex block
 costs 0 with an in-end and 1 without one, so its children combine by
 counts; a larger block with more than ``MAX_BLOCK_BRIDGES`` bridges sends
-the whole graph to the wavefront.  Blocks are solved in block labels (each
-vertex's rank in its block) and keyed by shape (the adjacency in those
-labels), so a call pays once per distinct shape: one wavefront per (shape,
-out-ends, in-ends) and one table per (shape, parent end, children's ends
-and costs), which a childless block computes once per (shape, parent end);
-the gadgets of G_T share one shape.  The top-down pass maps to G only the
-block witnesses of the states it picks; their union, re-checked by
-``closure`` on G, is the witness.
+the whole graph to the wavefront.  ``graphs.bridge_blocks`` finds the
+bridges and the blocks in one lowlink search.  Blocks are solved in block
+labels (each vertex's rank in its block) and keyed by shape (the adjacency
+in those labels), so the process pays once per distinct shape: one
+wavefront per (shape, out-ends, in-ends) and one table per (shape, parent
+end, children's ends and costs), which a childless block computes once per
+(shape, parent end).  Both are kept in one memo for the whole process,
+since each entry, in block labels, is a function of its key alone and so
+serves any later graph; it is emptied whenever it reaches
+``_BLOCK_MEMO_LIMIT`` (1024) entries.  The gadgets of G_T share one shape,
+so a process runs their block wavefronts once, not once per G_T.  The top-down
+pass maps to G only the block witnesses of the states it picks; their
+union, re-checked by ``closure`` on G, is the witness.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -62,8 +67,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .graphs import (Graph, GraphError, bits, bridge_blocks, bridges,
-                     is_connected, mask_of)
+from .graphs import (Graph, GraphError, bits, bridge_blocks, is_connected,
+                     mask_of)
 
 
 class NotForcingSetError(GraphError):
@@ -340,13 +345,31 @@ MAX_BLOCK_BRIDGES = 6
 # median time ratio on seeded bridged graphs crosses 1 at n = 18; timings
 # in CHANGES.md)
 MIN_BRIDGE_PROGRAM_VERTICES = 18
+# the bridge program's memo for the process (see the module docstring):
+# (shape, out-ends, in-ends) -> block witness and (shape, parent end,
+# children's ends and costs) -> table, in block labels.  The third item is
+# an int in the one key and a tuple in the other, so they cannot clash.  An
+# entry takes at most about 2.9 kB (a 62-row shape of its own), so a full
+# memo at most about 3 MiB; the G_T from every 3-1 tree with 4-14 vertices
+# make 18 entries in all
+_block_memo = {}
+_BLOCK_MEMO_LIMIT = 1024
 
 
-def _bridge_tree_zfs(g, cut, deadline):
+def _remember(key, value):
+    """Store ``value`` under ``key`` in ``_block_memo`` and return it."""
+    if len(_block_memo) >= _BLOCK_MEMO_LIMIT:
+        _block_memo.clear()
+    _block_memo[key] = value
+    return value
+
+
+def _bridge_tree_zfs(g, split, deadline):
     """Minimum zero forcing set of g from the bridge-tree dynamic program
-    over the bridges ``cut`` (see the module docstring), or None when a
-    block of two or more vertices has more than ``MAX_BLOCK_BRIDGES``."""
-    blocks, block_of = bridge_blocks(g, cut)
+    over ``split``, the bridges, blocks and block of each vertex that
+    ``graphs.bridge_blocks`` gives (see the module docstring), or None when
+    a block of two or more vertices has more than ``MAX_BLOCK_BRIDGES``."""
+    cut, blocks, block_of = split
     ends = [[] for _ in blocks]  # (own end, other end) of each bridge at a block
     for u, v in cut:
         ends[block_of[u]].append((u, v))
@@ -379,21 +402,19 @@ def _bridge_tree_zfs(g, cut, deadline):
     shapes = [tuple((g.adj[v] & members) >> vs[0] if len(vs) > vs[-1] - vs[0]
                     else mask_of(label[u] for u in bits(g.adj[v] & members))
                     for v in vs) for members, vs in zip(blocks, keep)]
-    solved = {}  # (shape, out-ends, in-ends) -> witness, in block labels
-    tables = {}  # (shape, parent end, children's ends and costs) -> table
-
     def solve(shape, outs, ins):
         """Least S in the block ``shape`` such that S and the blue ``ins``
         force it plus a white pendant leaf at each vertex of ``outs``."""
-        if (shape, outs, ins) not in solved:
+        found = _block_memo.get((shape, outs, ins))
+        if found is None:
             rows = list(shape)
             for k in bits(outs):
                 rows[k] |= 1 << len(rows)
                 rows.append(1 << k)
             leaves = (1 << len(rows)) - (1 << len(shape))
-            solved[shape, outs, ins] = _wavefront(
-                Graph(len(rows), tuple(rows)), leaves, deadline, ins)
-        return solved[shape, outs, ins]
+            found = _remember((shape, outs, ins), _wavefront(
+                Graph(len(rows), tuple(rows)), leaves, deadline, ins))
+        return found
 
     # table[i][s]: (least cost of block i's side, its children's states, the
     # block's own witness in its labels) with the parent bridge in state s
@@ -405,13 +426,14 @@ def _bridge_tree_zfs(g, cut, deadline):
         end = None if parent[i] is None else label[parent[i][0]]
         kids = tuple((label[x], costs[block_of[y]]) for x, y in children[i])
         key = shapes[i], end, kids
-        if key not in tables:
+        found = _block_memo.get(key)
+        if found is None:
             entries = [
                 _best_block_states(shapes[i], end, state, kids, solve)
                 if len(shapes[i]) > 1 else _best_vertex_states(state, kids)
                 for state in ((_NONE,) if end is None else (_NONE, _OUT, _IN))]
-            tables[key] = entries, tuple(e[0] for e in entries)
-        table[i], costs[i] = tables[key]
+            found = _remember(key, (entries, tuple(e[0] for e in entries)))
+        table[i], costs[i] = found
 
     witness, todo = 0, [(root, _NONE) for root in roots]
     while todo:
@@ -481,8 +503,11 @@ def zero_forcing_number(g, deadline=None):
     program on a graph with a bridge and at least
     ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices, else (or past its bridge cap)
     the wavefront."""
-    cut = bridges(g) if g.n >= MIN_BRIDGE_PROGRAM_VERTICES else None
-    witness = _bridge_tree_zfs(g, cut, deadline) if cut else None
+    witness = None
+    if g.n >= MIN_BRIDGE_PROGRAM_VERTICES:
+        split = bridge_blocks(g)
+        if split[0]:
+            witness = _bridge_tree_zfs(g, split, deadline)
     if witness is None:
         witness = _wavefront(g, deadline=deadline)
     return witness.bit_count(), witness

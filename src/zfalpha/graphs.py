@@ -223,28 +223,39 @@ def is_connected(g):
 
 
 def bridges(g):
-    """Bridges of g (the edges on no cycle) as (u, v) pairs with u < v, in
-    ascending order, by one iterative lowlink depth-first search.
+    """Bridges of g, the first part of ``bridge_blocks``."""
+    return bridge_blocks(g)[0]
+
+
+def bridge_blocks(g):
+    """Bridges of g (the edges on no cycle) as (u, v) pairs with u < v in
+    ascending order, its blocks (the components of g minus its bridges) as
+    masks ordered by smallest member, and the list of each vertex's block,
+    by one iterative lowlink depth-first search.
 
     ``low[v]`` is the least discovery index reachable from v's subtree by at
     most one back edge; the tree edge to v is a bridge iff it exceeds the
-    discovery index of v's parent.
+    discovery index of v's parent.  A new block starts just below a bridge:
+    each frame gathers the vertices of its subtree that are in no block yet,
+    and hands them to its parent's frame unless the edge between is a bridge,
+    in which case they are a block.  A root's frame is its block.
     """
     adj = g.adj
     order = [-1] * g.n
     low = [0] * g.n
-    found = []
+    found, blocks = [], []
     count = 0
     for root in range(g.n):
         if order[root] >= 0:
             continue
         order[root] = low[root] = count
         count += 1
-        # frames of (vertex, its parent, neighbours not yet scanned)
-        stack = [[root, -1, adj[root]]]
+        # frames of (vertex, its parent, neighbours not yet scanned, the
+        # vertices of its subtree in no block yet)
+        stack = [[root, -1, adj[root], 1 << root]]
         while stack:
             frame = stack[-1]
-            v, parent, rest = frame
+            v, parent, rest, members = frame
             while rest:  # back edges in this loop, a tree edge leaves it
                 w = (rest & -rest).bit_length() - 1
                 rest ^= 1 << w
@@ -252,28 +263,27 @@ def bridges(g):
                     frame[2] = rest
                     order[w] = low[w] = count
                     count += 1
-                    stack.append([w, v, adj[w] & ~(1 << v)])
+                    stack.append([w, v, adj[w] & ~(1 << v), 1 << w])
                     break
                 if order[w] < low[v]:
                     low[v] = order[w]
             else:
                 stack.pop()
-                if parent >= 0:
-                    if low[v] > order[parent]:
-                        found.append((v, parent) if v < parent else (parent, v))
+                if parent < 0:
+                    blocks.append(members)
+                elif low[v] > order[parent]:
+                    found.append((v, parent) if v < parent else (parent, v))
+                    blocks.append(members)
+                else:  # low[v] can lower low[parent] only here
+                    stack[-1][3] |= members
                     low[parent] = min(low[parent], low[v])
-    return sorted(found)
-
-
-def bridge_blocks(g, cut):
-    """Blocks of g, the components of g minus its bridges ``cut``, as masks
-    ordered by smallest member, and a map from each vertex to its block."""
-    adj = list(g.adj)
-    for u, v in cut:
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-    blocks = components(adj, g.full_mask)
-    return blocks, {v: i for i, m in enumerate(blocks) for v in bits(m)}
+    blocks.sort(key=lambda m: m & -m)
+    block_of = [0] * g.n
+    for i, members in enumerate(blocks):
+        for v in bits(members):
+            block_of[v] = i
+    found.sort()
+    return found, blocks, block_of
 
 
 def is_acyclic(g, within=None):

@@ -13,11 +13,11 @@ from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
                              is_zero_forcing_set, min_zfset_avoiding,
                              zero_forcing_number)
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
-from zfalpha.graphs import (GraphError, bits, bridges, classify_degrees,
-                            complete_bipartite, complete_graph, cycle_graph,
-                            disjoint_union, graph_from_edges, is_connected,
-                            path_graph, petersen_graph, prism_graph,
-                            star_graph)
+from zfalpha.graphs import (GraphError, bits, bridge_blocks, bridges,
+                            classify_degrees, complete_bipartite,
+                            complete_graph, cycle_graph, disjoint_union,
+                            graph_from_edges, is_connected, path_graph,
+                            petersen_graph, prism_graph, star_graph)
 
 from oracles import (_is_fort_without, _packing, _shrink_fort,
                      bridged_random_cubic, brute_closure, brute_zero_forcing,
@@ -552,7 +552,7 @@ def _check_bridge_program(g, z=None):
     found, witness = zero_forcing_number(g)
     assert found == witness.bit_count() == want, (g.edges(), witness, want)
     assert is_zero_forcing_set(g, witness), (g.edges(), witness)
-    witness = forcing._bridge_tree_zfs(g, bridges(g), None)
+    witness = forcing._bridge_tree_zfs(g, bridge_blocks(g), None)
     assert witness.bit_count() == want, (g.edges(), witness, want)
     assert is_zero_forcing_set(g, witness), (g.edges(), witness)
 
@@ -607,24 +607,51 @@ BRIDGE_WITNESS_DIGEST = (
 
 
 def test_bridge_witnesses_match_golden_digest():
-    graphs = [h for h, _ in _tight_cases()]
-    graphs += [g for _, _, g in bridged_random_cubic()] + _block_tree_cases()
     h = hashlib.sha256()
-    for g in graphs:
+    for g in _bridge_digest_graphs():
         h.update(repr(zero_forcing_number(g)).encode() + b"\n")
     assert h.hexdigest() == BRIDGE_WITNESS_DIGEST
+
+
+def _cold_memo():
+    """Empty the bridge program's block memo, so that the next bridged call
+    runs its block wavefronts again."""
+    forcing._block_memo.clear()
+
+
+def _bridge_digest_graphs():
+    """The inputs of BRIDGE_WITNESS_DIGEST, in order."""
+    graphs = [h for h, _ in _tight_cases()]
+    return graphs + [g for _, _, g in bridged_random_cubic()] + _block_tree_cases()
+
+
+def test_bridge_witnesses_match_golden_digest_with_a_cold_and_a_warm_memo():
+    # each entry of the memo is a function of its key, so the witnesses are
+    # the same whether the memo is emptied before every graph or kept
+    graphs = _bridge_digest_graphs()
+    for cold in (True, False):
+        _cold_memo()
+        h = hashlib.sha256()
+        for g in graphs:
+            if cold:
+                _cold_memo()
+            h.update(repr(zero_forcing_number(g)).encode() + b"\n")
+        assert h.hexdigest() == BRIDGE_WITNESS_DIGEST, cold
 
 
 def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
     # trees are settled in closed form; G_T runs the wavefront only on its
     # 5-vertex gadgets, and only once per state of the gadget's bridge to
-    # the tree: none, out (a pendant leaf) and in (one vertex blue)
+    # the tree: none, out (a pendant leaf) and in (one vertex blue).  Every
+    # G_T has that one gadget shape, so only the first runs them; the memo
+    # serves every later G_T
     calls = []
 
     def recorded(g, forbidden=0, deadline=None, pre=0):
         calls.append((g.n, forbidden.bit_count(), pre.bit_count()))
         return _wavefront(g, forbidden, deadline, pre)
 
+    _cold_memo()
     monkeypatch.setattr(forcing, "_wavefront", recorded)
     rng = random.Random(89)
     for _ in range(10):
@@ -632,11 +659,58 @@ def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
         g = graph_from_edges(n, random_tree_edges(n, rng))
         assert zero_forcing_number(g)[0] == len(minimum_path_cover(g))
     assert calls == []
+    first = True
     for n in range(6, 15, 2):
         for t in generate_31_trees(n):
             zero_forcing_number(build_tight_graph(t).result)
-            assert sorted(calls) == [(5, 0, 0), (5, 0, 1), (6, 1, 0)], n
+            assert sorted(calls) == (
+                [(5, 0, 0), (5, 0, 1), (6, 1, 0)] if first else []), n
+            first = False
             calls.clear()
+    assert not first
+
+
+def test_bridge_program_stores_nothing_from_a_wavefront_past_its_deadline(
+        monkeypatch):
+    # the one G_T from a 3-1 tree on 8 vertices, with its pinned witness:
+    # its first block wavefront runs out of time, so nothing is stored, and
+    # the next call solves every block and gives the witness
+    g = build_tight_graph(generate_31_trees(8)[0]).result
+    calls = []
+
+    def first_over_budget(g, forbidden=0, deadline=None, pre=0):
+        calls.append(g.n)
+        if len(calls) == 1:
+            raise SolverBudgetExceeded("zero-forcing")
+        return _wavefront(g, forbidden, deadline, pre)
+
+    _cold_memo()
+    monkeypatch.setattr(forcing, "_wavefront", first_over_budget)
+    with pytest.raises(SolverBudgetExceeded):
+        zero_forcing_number(g)
+    assert forcing._block_memo == {}
+    assert zero_forcing_number(g) == (13, 94988881)
+    assert sorted(calls) == [5, 5, 5, 6]
+
+
+def test_block_memo_stays_within_its_limit():
+    # seeded block trees whose pieces have up to 7 vertices carry more
+    # distinct block shapes than the memo holds; it is emptied when full,
+    # never grows past its limit, and Z stays the wavefront's throughout
+    _cold_memo()
+    limit = forcing._BLOCK_MEMO_LIMIT
+    rng = random.Random(97)
+    shapes, cleared, size = set(), 0, 0
+    for _ in range(5000):  # 1761 graphs reach both
+        if len(shapes) > limit and cleared:
+            break
+        g = graph_from_edges(*random_block_tree_edges(rng.randint(2, 4), 7, rng))
+        _check_bridge_program(g)
+        assert len(forcing._block_memo) <= limit
+        cleared += len(forcing._block_memo) < size
+        size = len(forcing._block_memo)
+        shapes.update(key[0] for key in forcing._block_memo)
+    assert len(shapes) > limit and cleared
 
 
 def test_bridge_program_falls_back_to_the_wavefront():
@@ -651,7 +725,7 @@ def test_bridge_program_falls_back_to_the_wavefront():
                              + [(v, size + v) for v in range(pendants)])
         found, witness = zero_forcing_number(g)
         assert found == _wavefront(g).bit_count() == witness.bit_count()
-        program = forcing._bridge_tree_zfs(g, bridges(g), None)
+        program = forcing._bridge_tree_zfs(g, bridge_blocks(g), None)
         if pendants > cap:
             assert program is None and witness == _wavefront(g)
         else:
@@ -659,7 +733,7 @@ def test_bridge_program_falls_back_to_the_wavefront():
     g = build_tight_graph(generate_31_trees(4)[0]).result
     assert g.n < size and bridges(g)
     assert zero_forcing_number(g)[1] == _wavefront(g)
-    assert forcing._bridge_tree_zfs(g, bridges(g), None) != _wavefront(g)
+    assert forcing._bridge_tree_zfs(g, bridge_blocks(g), None) != _wavefront(g)
 
 
 def test_bridge_program_keeps_the_deadline():

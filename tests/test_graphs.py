@@ -138,8 +138,11 @@ def test_bridges_match_networkx():
         h.remove_edges_from(expect)
         blocks = sorted((mask_of(c) for c in nx.connected_components(h)),
                         key=lambda m: m & -m)
-        assert bridge_blocks(g, expect) == (
-            blocks, {v: i for i, m in enumerate(blocks) for v in bits(m)})
+        block_of = [0] * g.n
+        for i, m in enumerate(blocks):
+            for v in bits(m):
+                block_of[v] = i
+        assert bridge_blocks(g) == (expect, blocks, block_of)
     assert bridges(star_graph(6)) == [(0, v) for v in range(1, 7)]
     assert bridges(cycle_graph(5)) == []
 

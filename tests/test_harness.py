@@ -462,6 +462,22 @@ def test_cli_bad_options_fail_before_any_work(tmp_path, capsys, monkeypatch):
         assert not out.exists() and not csv.exists()
 
 
+def test_cli_bad_fort_cap_fails_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was loaded or solved")
+
+    for name in ("_load_graphs", "zero_forcing_number",
+                 "enumerate_minimal_forts"):
+        monkeypatch.setattr(cli, name, refuse)
+    for cap in ("0", "-3"):
+        for flags in (["--forts"], ["--forts", "--z"]):
+            rc = main(["compute", "C~", *flags, "--fort-cap", cap])
+            captured = capsys.readouterr()
+            assert rc == 2, (cap, flags)
+            assert captured.out == ""
+            assert captured.err == "error: --fort-cap must be at least 1\n"
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["verify"])  # missing required source
