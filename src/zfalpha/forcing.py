@@ -15,47 +15,59 @@ many leaves.  ``min_zfset_avoiding`` runs it on the whole graph.
 bridge or fewer than ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices.  Otherwise
 it combines the blocks, the components of G minus its bridges, by a
 dynamic program over the bridge forest: the cut-vertex technique of Row
-(Linear Algebra Appl. 2012), applied to bridges.  For a bridge uv with
-sides G1 ∋ u and G2 ∋ v, write H + leaf@x for H with a new pendant vertex
-at x that may not be in the set, and Z(H | x) for the least |S| such that
-S and a blue x force H.  Then
+(Linear Algebra Appl. 2012), applied to bridges.  For a graph H and a
+vertex x of it, write H + leaf@x for H with a new pendant vertex at x that
+may not be in the set, and Z(H | x) for the least |S| such that S and a
+blue x force H.
 
-    Z(G) = min(Z(G1) + Z(G2), Z(G1 + leaf@u) + Z(G2 | v),
-               Z(G1 | u) + Z(G2 + leaf@v)).
+A bridge uv with sides G1 ∋ u and G2 ∋ v carries no force ("none"), or
+one end forces the other, since a vertex forces at most once.  Restrict a
+forcing process of G to one side: with no force across, the side forces
+itself (u losing the neighbour v only helps it force); when u forces v, G1
+is forced with u → leaf in place of u → v, and G2 with v blue from the
+start.  Conversely, sets for the two sides of any one case force G, since
+a side's process waits on the other only at the bridge.  So a side G2
+costs Z(G2), Z(G2 | v) or Z(G2 + leaf@v) in the three cases, and the
+argument holds with forbidden and pre-blue vertices, bridge by bridge.
 
-Proof sketch: a vertex forces at most once, so in any forcing process the
-bridge carries no force ("none"), u forces v ("out" seen from u) or v
-forces u ("in").  Restrict the process to one side.  With no force across,
-the side forces itself, since u losing the neighbour v only helps it
-force.  When u forces v, u has forced nothing before (v was white) and
-nothing after, so G1's forces with u → leaf in place of u → v force G1 +
-leaf@u with the leaf white, and G2's forces with v blue from the start
-force G2.  Conversely, sets for the two sides of any one case force G: a
-side's process waits on the other only at the bridge, where the case fixes
-which end goes first.  Every argument holds with vertices that must stay
-out of the set and vertices that are blue from the start, so the rule
-applies bridge by bridge.  A block's cost for one state of each of its
-bridges is therefore ``_wavefront`` on the block plus a forbidden leaf at
-each out-end, with each in-end blue at no cost (``pre``).  Two out-ends at
-one vertex are infeasible (the two leaves are forbidden twins); two in-ends
-at one vertex are harmless (the later force finds the vertex blue).  Each
-tree of blocks is rooted at its lowest block and solved from the leaves up,
-over every state vector of a block's child bridges.  A one-vertex block
-costs 0 with an in-end and 1 without one, so its children combine by
-counts; a larger block with more than ``MAX_BLOCK_BRIDGES`` bridges sends
-the whole graph to the wavefront.  ``graphs.bridge_blocks`` finds the
-bridges and the blocks in one lowlink search.  Blocks are solved in block
-labels (each vertex's rank in its block) and keyed by shape (the adjacency
-in those labels), so the process pays once per distinct shape: one
-wavefront per (shape, out-ends, in-ends) and one table per (shape, parent
-end, children's ends and costs), which a childless block computes once per
-(shape, parent end).  Both are kept in one memo for the whole process,
-since each entry, in block labels, is a function of its key alone and so
-serves any later graph; it is emptied whenever it reaches
-``_BLOCK_MEMO_LIMIT`` (1024) entries.  The gadgets of G_T share one shape,
-so a process runs their block wavefronts once, not once per G_T.  The top-down
-pass maps to G only the block witnesses of the states it picks; their
-union, re-checked by ``closure`` on G, is the witness.
+Two facts reduce a side to one bit.  First, Z(H + leaf@x) = Z(H | x) + 1,
+by the reversal theorem (Barioli et al., Linear Algebra Appl. 2010: the
+vertices that end the chains of a forcing process form a zero forcing set,
+whose reversed process runs the chains backwards).  (≥) In a process from
+a minimum set of H + leaf@x, x forces the leaf, which forces nothing and so
+ends a chain; the reversal is a set of the same size that holds the leaf,
+and dropping the leaf and making x blue forces H.  (≤) If T with a blue x
+forces H, then T plus the leaf forces H + leaf@x, the leaf forcing x
+first; the leaf starts a chain, so the reversal has the same size and
+avoids it.  Second, Z(H | x) is Z(H) or
+Z(H) - 1, since a blue x saves at most x itself.  So with the bit
+δ = Z(H) - Z(H | x), the side costs Z(H), Z(H) - δ and Z(H) - δ + 1.  A
+pendant vertex costs 1, 0 and 1 and a P3 hung by its centre 1, 1 and 2: up
+to the constant Z(H) - 1, the first is a side with δ = 1 and the second one
+with δ = 0.
+
+Each tree of blocks is rooted at its lowest block.  Bottom-up, block i
+becomes B*, the block plus one gadget per child bridge at the child's end
+there, chosen by the child side's bit; then Z(side) = Z(B*) plus, over the
+children, Z(child side) - 1, and below a root δ(side) = Z(B*) - Z(B* | x),
+where x is the block's end of its parent bridge.  Top-down, ``_wavefront``
+runs on B* in the state the parent picked: none as is, in with x in
+``pre``, out with a forbidden leaf at x.  A minimum set of B* is minimum
+over every state vector of the child bridges, so each gadget's share of it
+is the gadget's cost in its state, and each child's state is read from
+``_force_steps`` on it: the block's end forces the gadget (in), the gadget
+forces the block's end (out), or neither (none).  The union of the blocks' shares,
+re-checked by ``closure`` on G, is the witness.  ``graphs.bridge_blocks``
+finds the bridges and the blocks in one lowlink search.
+
+Blocks are solved in block labels (each vertex's rank in its block) and
+keyed by shape (the adjacency in those labels), the parent end, the
+children's ends and bits (sorted) and the state; B* in state none does not
+depend on the parent end, so that key leaves it out.  Each entry is a
+function of its key, so one memo serves the whole process; it is emptied
+whenever it reaches ``_BLOCK_MEMO_LIMIT`` (1024) entries.  The gadgets of
+G_T share one shape and its tree vertices few keys, so a process runs
+their wavefronts once, not once per G_T.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -329,54 +341,70 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
 # the bridge tree
 
 
-# a bridge's state seen from one end x: no force across it, x forces the
-# other end, or the other end forces x
-_NONE, _OUT, _IN = 0, 1, 2
-_FLIP = (_NONE, _IN, _OUT)  # the same state seen from the other end
-# a block of two or more vertices with more bridges than this sends the
-# whole graph to the wavefront.  A block with b bridges takes up to
-# 3^(b+1) block wavefronts, about 4 times more per bridge; 6 is the largest
-# b at which the program took no longer in total than the whole-graph
-# wavefront on seeded trees plus one or two edges (n = 24-36) and on cubic
-# graphs with one large block (timings in CHANGES.md)
-MAX_BLOCK_BRIDGES = 6
+# a child bridge's state seen from the child's end y: no force across it,
+# the block forces y, or y forces the block
+_NONE, _IN, _OUT = 0, 1, 2
 # the program runs on graphs of at least this many vertices: on smaller
-# ones its per-block set-up costs more than the whole-graph wavefront (the
-# median time ratio on seeded bridged graphs crosses 1 at n = 18; timings
-# in CHANGES.md)
+# ones its set-up with a cold memo costs about the whole-graph wavefront or
+# more (median time ratio on seeded bridged block trees 1.0 at n = 16, 0.72
+# at 17; CHANGES.md), and a lower floor moves Z's witness on the graphs it adds
 MIN_BRIDGE_PROGRAM_VERTICES = 18
 # the bridge program's memo for the process (see the module docstring):
-# (shape, out-ends, in-ends) -> block witness and (shape, parent end,
-# children's ends and costs) -> table, in block labels.  The third item is
-# an int in the one key and a tuple in the other, so they cannot clash.  An
-# entry takes at most about 2.9 kB (a 62-row shape of its own), so a full
-# memo at most about 3 MiB; the G_T from every 3-1 tree with 4-14 vertices
-# make 18 entries in all
+# (shape, parent end, children's ends and bits, state) -> (Z of B* in that
+# state, B*'s witness on the block, the children's states), in block labels.
+# An entry of a graph on 62 vertices takes at most about 4.8 kB (a vertex
+# with 61 children), so a full memo about 5 MiB; the G_T from every 3-1
+# tree with 4-14 vertices make 15 entries in all
 _block_memo = {}
 _BLOCK_MEMO_LIMIT = 1024
 
 
-def _remember(key, value):
-    """Store ``value`` under ``key`` in ``_block_memo`` and return it."""
-    if len(_block_memo) >= _BLOCK_MEMO_LIMIT:
-        _block_memo.clear()
-    _block_memo[key] = value
-    return value
+def _solve_block(key, deadline):
+    """The memo entry for ``key``: ``_wavefront`` on B*, the block ``shape``
+    plus a pendant vertex at each child end with bit 1 and a P3 hung by its
+    centre at each with bit 0, in ``state`` at the parent ``end``; each
+    child's state is read from the chronology of forces from the witness."""
+    shape, end, kids, state = key
+    if state == _NONE:  # B* is the same whatever its parent end
+        key = shape, None, kids, state
+    found = _block_memo.get(key)
+    if found is None:
+        rows = list(shape)
+
+        def hang(k):  # a new vertex adjacent to vertex k
+            rows[k] |= 1 << len(rows)
+            rows.append(1 << k)
+            return len(rows) - 1
+
+        tops = []
+        for x, bit in kids:
+            tops.append(hang(x))
+            if not bit:
+                hang(tops[-1])
+                hang(tops[-1])
+        forbidden = 1 << hang(end) if state == _OUT else 0
+        pre = 1 << end if state == _IN else 0
+        star = Graph(len(rows), tuple(rows))
+        witness = _wavefront(star, forbidden, deadline, pre)
+        steps = set(_force_steps(star, witness | pre)[0])
+        states = tuple(_IN if (x, t) in steps else _OUT if (t, x) in steps
+                       else _NONE for (x, _), t in zip(kids, tops))
+        if len(_block_memo) >= _BLOCK_MEMO_LIMIT:
+            _block_memo.clear()
+        found = _block_memo[key] = (witness.bit_count(),
+                                    witness & (1 << len(shape)) - 1, states)
+    return found
 
 
 def _bridge_tree_zfs(g, split, deadline):
     """Minimum zero forcing set of g from the bridge-tree dynamic program
     over ``split``, the bridges, blocks and block of each vertex that
-    ``graphs.bridge_blocks`` gives (see the module docstring), or None when
-    a block of two or more vertices has more than ``MAX_BLOCK_BRIDGES``."""
+    ``graphs.bridge_blocks`` gives (see the module docstring)."""
     cut, blocks, block_of = split
     ends = [[] for _ in blocks]  # (own end, other end) of each bridge at a block
     for u, v in cut:
         ends[block_of[u]].append((u, v))
         ends[block_of[v]].append((v, u))
-    if any(members & members - 1 and len(at) > MAX_BLOCK_BRIDGES
-           for members, at in zip(blocks, ends)):
-        return None
 
     # root each tree of blocks at its lowest block; parents precede children
     parent, order = {}, []  # block -> (own end, parent's end), None at a root
@@ -402,113 +430,43 @@ def _bridge_tree_zfs(g, split, deadline):
     shapes = [tuple((g.adj[v] & members) >> vs[0] if len(vs) > vs[-1] - vs[0]
                     else mask_of(label[u] for u in bits(g.adj[v] & members))
                     for v in vs) for members, vs in zip(blocks, keep)]
-    def solve(shape, outs, ins):
-        """Least S in the block ``shape`` such that S and the blue ``ins``
-        force it plus a white pendant leaf at each vertex of ``outs``."""
-        found = _block_memo.get((shape, outs, ins))
-        if found is None:
-            rows = list(shape)
-            for k in bits(outs):
-                rows[k] |= 1 << len(rows)
-                rows.append(1 << k)
-            leaves = (1 << len(rows)) - (1 << len(shape))
-            found = _remember((shape, outs, ins), _wavefront(
-                Graph(len(rows), tuple(rows)), leaves, deadline, ins))
-        return found
 
-    # table[i][s]: (least cost of block i's side, its children's states, the
-    # block's own witness in its labels) with the parent bridge in state s
-    # seen from block i; costs[i]: those costs.  A table reads only its
-    # children's costs, so blocks that agree on its key share it
-    table, costs = [None] * len(blocks), [None] * len(blocks)
+    # bottom-up: Z of each block's side and, below a root, its bit
+    side, bit, keys = [0] * len(blocks), [0] * len(blocks), [None] * len(blocks)
     for i in reversed(order):
         _check_deadline(deadline, "zero-forcing")
         end = None if parent[i] is None else label[parent[i][0]]
-        kids = tuple((label[x], costs[block_of[y]]) for x, y in children[i])
-        key = shapes[i], end, kids
-        found = _block_memo.get(key)
-        if found is None:
-            entries = [
-                _best_block_states(shapes[i], end, state, kids, solve)
-                if len(shapes[i]) > 1 else _best_vertex_states(state, kids)
-                for state in ((_NONE,) if end is None else (_NONE, _OUT, _IN))]
-            found = _remember(key, (entries, tuple(e[0] for e in entries)))
-        table[i], costs[i] = found
+        children[i].sort(key=lambda e: (label[e[0]], bit[block_of[e[1]]]))
+        keys[i] = shapes[i], end, tuple(
+            (label[x], bit[block_of[y]]) for x, y in children[i])
+        cost = _solve_block(keys[i] + (_NONE,), deadline)[0]
+        side[i] = cost + sum(side[block_of[y]] - 1 for _, y in children[i])
+        if end is not None:
+            bit[i] = cost - _solve_block(keys[i] + (_IN,), deadline)[0]
 
+    # top-down: each block's witness in the state its parent picked
     witness, todo = 0, [(root, _NONE) for root in roots]
     while todo:
         i, state = todo.pop()
-        _, states, own = table[i][state]
+        _, own, states = _solve_block(keys[i] + (state,), deadline)
         for k in bits(own):
             witness |= 1 << keep[i][k]
-        todo += [(block_of[y], _FLIP[s]) for (_, y), s in zip(children[i], states)]
+        todo += [(block_of[y], s) for (_, y), s in zip(children[i], states)]
     if (closure(g, witness) != g.full_mask
-            or witness.bit_count() != sum(table[r][_NONE][0] for r in roots)):
+            or witness.bit_count() != sum(side[r] for r in roots)):
         raise RuntimeError("the bridge dynamic program built a set that does "
                            "not force the graph or does not match its cost")
     return witness
 
 
-def _best_block_states(shape, end, state, kids, solve):
-    """Least cost over the states of a block's child bridges, in block labels:
-    its block wavefront plus each child's cost in the matching state.  Every
-    state vector is tried, in ``itertools.product`` order; a vector is
-    dropped before its wavefront when the children alone reach the best."""
-    best = (float("inf"), None, 0)
-    own = {_OUT: 0, _IN: 0, state: 0 if state == _NONE else 1 << end}
-    for states in itertools.product((_NONE, _OUT, _IN), repeat=len(kids)):
-        rest = sum(costs[_FLIP[s]] for (_, costs), s in zip(kids, states))
-        if rest >= best[0]:
-            continue
-        outs, ins = own[_OUT], own[_IN]
-        for (x, _), s in zip(kids, states):
-            if s == _OUT:
-                if outs >> x & 1:
-                    break  # x would force two vertices
-                outs |= 1 << x
-            elif s == _IN:
-                ins |= 1 << x
-        else:
-            found = solve(shape, outs, ins)
-            if found.bit_count() + rest < best[0]:
-                best = (found.bit_count() + rest, states, found)
-    return best
-
-
-def _best_vertex_states(state, kids):
-    """``_best_block_states`` for a one-vertex block, in closed form: x
-    forces at most one neighbour, is free once any neighbour forces it and
-    costs 1 otherwise.  So the children combine by counts, in one pass over
-    (out-ends so far, any in-end so far), with no cap on them."""
-    reach = {(int(state == _OUT), state == _IN): (0, ())}
-    for _, (none, out, into) in kids:  # the child's costs, seen from it
-        step = {}
-        for (outs, any_in), (cost, states) in reach.items():
-            for s, key, total in ((_NONE, (outs, any_in), cost + none),
-                                  (_OUT, (1, any_in), cost + into),
-                                  (_IN, (outs, True), cost + out)):
-                if (s != _OUT or not outs) and (
-                        key not in step or total < step[key][0]):
-                    step[key] = (total, states + (s,))
-        reach = step
-    best = (float("inf"), None, 0)
-    for (_, any_in), (cost, states) in reach.items():
-        if cost + (not any_in) < best[0]:
-            best = (cost + (not any_in), states, int(not any_in))
-    return best
-
-
 def zero_forcing_number(g, deadline=None):
     """Exact Z(g) with a minimum witness set: the bridge-tree dynamic
     program on a graph with a bridge and at least
-    ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices, else (or past its bridge cap)
-    the wavefront."""
-    witness = None
-    if g.n >= MIN_BRIDGE_PROGRAM_VERTICES:
-        split = bridge_blocks(g)
-        if split[0]:
-            witness = _bridge_tree_zfs(g, split, deadline)
-    if witness is None:
+    ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices, else the wavefront."""
+    split = bridge_blocks(g) if g.n >= MIN_BRIDGE_PROGRAM_VERTICES else None
+    if split and split[0]:
+        witness = _bridge_tree_zfs(g, split, deadline)
+    else:
         witness = _wavefront(g, deadline=deadline)
     return witness.bit_count(), witness
 

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 
+import networkx as nx
 import pytest
 
 from zfalpha import forcing
@@ -603,7 +604,7 @@ def test_bridge_program_on_tight_and_bridged_cubic_graphs():
 # in that order.  No certificate field reads Z's witness, so this is what
 # pins the witness that the bridge-tree program returns.
 BRIDGE_WITNESS_DIGEST = (
-    "78d626262fbdbb0a72f914e32477e9b501f1f26b12aa8f6f2622747d565a5dad")
+    "78068db0291ee3cc91caeefd331366f49047574bb2c3da17e89e13e47741f110")
 
 
 def test_bridge_witnesses_match_golden_digest():
@@ -640,11 +641,13 @@ def test_bridge_witnesses_match_golden_digest_with_a_cold_and_a_warm_memo():
 
 
 def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
-    # trees are settled in closed form; G_T runs the wavefront only on its
-    # 5-vertex gadgets, and only once per state of the gadget's bridge to
-    # the tree: none, out (a pendant leaf) and in (one vertex blue).  Every
-    # G_T has that one gadget shape, so only the first runs them; the memo
-    # serves every later G_T
+    # a tree's blocks are single vertices, so its wavefronts run on B*, a
+    # vertex with a gadget of at most 3 vertices per child bridge.  After
+    # them, G_T runs the wavefront only on its 5-vertex gadget, once per
+    # state of the gadget's bridge to the tree: none, in (one vertex blue)
+    # and out (a forbidden leaf).  Every G_T has that one gadget shape, and
+    # its tree vertices' B* are those of the trees, so only the first G_T
+    # runs them; the memo serves every later G_T
     calls = []
 
     def recorded(g, forbidden=0, deadline=None, pre=0):
@@ -658,7 +661,8 @@ def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
         n = rng.randint(20, 40)
         g = graph_from_edges(n, random_tree_edges(n, rng))
         assert zero_forcing_number(g)[0] == len(minimum_path_cover(g))
-    assert calls == []
+        assert all(size < n for size, _, _ in calls), (n, calls)
+        calls.clear()
     first = True
     for n in range(6, 15, 2):
         for t in generate_31_trees(n):
@@ -689,8 +693,8 @@ def test_bridge_program_stores_nothing_from_a_wavefront_past_its_deadline(
     with pytest.raises(SolverBudgetExceeded):
         zero_forcing_number(g)
     assert forcing._block_memo == {}
-    assert zero_forcing_number(g) == (13, 94988881)
-    assert sorted(calls) == [5, 5, 5, 6]
+    assert zero_forcing_number(g) == (13, 86854481)
+    assert sorted(calls) == [3, 3, 5, 5, 5, 6, 8]
 
 
 def test_block_memo_stays_within_its_limit():
@@ -713,30 +717,71 @@ def test_block_memo_stays_within_its_limit():
     assert len(shapes) > limit and cleared
 
 
-def test_bridge_program_falls_back_to_the_wavefront():
-    # a cycle of MIN_BRIDGE_PROGRAM_VERTICES vertices with a pendant vertex
-    # at k of them: the cycle block has k bridges.  At MAX_BLOCK_BRIDGES the
-    # program runs; one more and the whole graph goes to the wavefront, as
-    # does a bridged graph below MIN_BRIDGE_PROGRAM_VERTICES.  All give Z.
-    cap, size = forcing.MAX_BLOCK_BRIDGES, forcing.MIN_BRIDGE_PROGRAM_VERTICES
-    for pendants in (cap, cap + 1):
-        g = graph_from_edges(size + pendants,
-                             [(v, (v + 1) % size) for v in range(size)]
-                             + [(v, size + v) for v in range(pendants)])
+def test_bridge_program_falls_back_to_the_wavefront(monkeypatch):
+    # a cycle with a pendant vertex at k of its vertices: the cycle block
+    # has k bridges, and the program solves it whatever k, here 7 on an
+    # 18-cycle and 6 on a 40-cycle.  A bridged graph below
+    # MIN_BRIDGE_PROGRAM_VERTICES goes to the wavefront instead
+    size = forcing.MIN_BRIDGE_PROGRAM_VERTICES
+    for cycle, pendants in ((size, 7), (40, 6)):
+        g = graph_from_edges(cycle + pendants,
+                             [(v, (v + 1) % cycle) for v in range(cycle)]
+                             + [(v, cycle + v) for v in range(pendants)])
         found, witness = zero_forcing_number(g)
+        assert witness == forcing._bridge_tree_zfs(g, bridge_blocks(g), None)
         assert found == _wavefront(g).bit_count() == witness.bit_count()
-        program = forcing._bridge_tree_zfs(g, bridge_blocks(g), None)
-        if pendants > cap:
-            assert program is None and witness == _wavefront(g)
-        else:
-            assert program == witness
+        assert is_zero_forcing_set(g, witness)
     g = build_tight_graph(generate_31_trees(4)[0]).result
     assert g.n < size and bridges(g)
+    calls = []
+
+    def recorded(g, *args, **kwargs):
+        calls.append(g.n)
+        return _wavefront(g, *args, **kwargs)
+
+    monkeypatch.setattr(forcing, "_wavefront", recorded)
     assert zero_forcing_number(g)[1] == _wavefront(g)
-    assert forcing._bridge_tree_zfs(g, bridge_blocks(g), None) != _wavefront(g)
+    assert calls == [g.n]
 
 
 def test_bridge_program_keeps_the_deadline():
     for g in (build_tight_graph(generate_31_trees(8)[0]).result, path_graph(30)):
         with pytest.raises(SolverBudgetExceeded):
             zero_forcing_number(g, deadline=time.monotonic() - 1)
+
+
+def test_bridge_program_settles_leafy_graphs_in_time():
+    # the slowest of 20 seeded trees plus one edge, and of 20 plus two
+    # edges, with n = 36 for the whole-graph wavefront: about 1.0 and 0.8 s
+    # there, and about 6 and 10 ms through the program with a cold memo
+    # (2 vCPU, Python 3.11.7), so the 0.15 s deadline is at least 15 times
+    # the program's time and at most a fifth of the wavefront's
+    for extra, index in ((1, 3), (2, 14)):
+        rng = random.Random(36)
+        for _ in range(index + 1):
+            g = graph_from_edges(36, random_connected_bounded_degree_edges(
+                36, 3, extra, rng))
+        _cold_memo()
+        found, witness = zero_forcing_number(g, time.monotonic() + 0.15)
+        assert found == _wavefront(g).bit_count(), extra
+        assert is_zero_forcing_set(g, witness), extra
+
+
+def test_a_forbidden_leaf_costs_one_more_than_a_blue_end():
+    # Z(H + leaf@w) = Z(H | w) + 1 and Z(H | w) is Z(H) or Z(H) - 1, on
+    # every rooted graph of the atlas with 1-6 vertices: the identity and
+    # the bit that let a gadget with Z = 1 stand in for a child side
+    rooted = 0
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if not 1 <= n <= 6:
+            continue
+        g = graph_from_edges(n, list(h.edges()))
+        z = brute_zero_forcing(g)
+        for w in range(n):
+            blue_end = brute_zero_forcing_avoiding(g, 0, 1 << w)
+            plus = graph_from_edges(n + 1, list(h.edges()) + [(w, n)])
+            assert brute_zero_forcing_avoiding(plus, 1 << n) == blue_end + 1
+            assert z - blue_end in (0, 1), (list(h.edges()), w)
+            rooted += 1
+    assert rooted == 1167
