@@ -12,13 +12,12 @@ Without it the number of states blows up on stars and other graphs with
 many leaves.  ``min_zfset_avoiding`` runs it on the whole graph.
 
 ``zero_forcing_number`` runs it on the whole graph when the graph has no
-bridge or fewer than ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices.  Otherwise
-it combines the blocks, the components of G minus its bridges, by a
-dynamic program over the bridge forest: the cut-vertex technique of Row
-(Linear Algebra Appl. 2012), applied to bridges.  For a graph H and a
-vertex x of it, write H + leaf@x for H with a new pendant vertex at x that
-may not be in the set, and Z(H | x) for the least |S| such that S and a
-blue x force H.
+bridge.  Otherwise it combines the blocks, the components of G minus its
+bridges, by a dynamic program over the bridge forest: the cut-vertex
+technique of Row (Linear Algebra Appl. 2012), applied to bridges.  For a
+graph H and a vertex x of it, write H + leaf@x for H with a new pendant
+vertex at x that may not be in the set, and Z(H | x) for the least |S|
+such that S and a blue x force H.
 
 A bridge uv with sides G1 ∋ u and G2 ∋ v carries no force ("none"), or
 one end forces the other, since a vertex forces at most once.  Restrict a
@@ -42,32 +41,38 @@ first; the leaf starts a chain, so the reversal has the same size and
 avoids it.  Second, Z(H | x) is Z(H) or
 Z(H) - 1, since a blue x saves at most x itself.  So with the bit
 δ = Z(H) - Z(H | x), the side costs Z(H), Z(H) - δ and Z(H) - δ + 1.  A
-pendant vertex costs 1, 0 and 1 and a P3 hung by its centre 1, 1 and 2: up
-to the constant Z(H) - 1, the first is a side with δ = 1 and the second one
-with δ = 0.
+pendant vertex costs 1, 0 and 1: up to the constant Z(H) - 1, it is a side
+with δ = 1.  A side s with δ = 0, joined at its end y to the rest B of the
+graph at x, needs no stand-in, since no force across is then optimal: with
+none the pair costs Z(B) + Z(s); when x forces y, Z(B + leaf@x) + Z(s | y)
+= Z(B | x) + 1 + Z(s) ≥ Z(B) + Z(s); when y forces x, Z(B | x) +
+Z(s + leaf@y) = Z(B | x) + Z(s) + 1 ≥ Z(B) + Z(s).
 
 Each tree of blocks is rooted at its lowest block.  Bottom-up, block i
-becomes B*, the block plus one gadget per child bridge at the child's end
-there, chosen by the child side's bit; then Z(side) = Z(B*) plus, over the
-children, Z(child side) - 1, and below a root δ(side) = Z(B*) - Z(B* | x),
-where x is the block's end of its parent bridge.  Top-down, ``_wavefront``
-runs on B* in the state the parent picked: none as is, in with x in
-``pre``, out with a forbidden leaf at x.  A minimum set of B* is minimum
-over every state vector of the child bridges, so each gadget's share of it
-is the gadget's cost in its state, and each child's state is read from
-``_force_steps`` on it: the block's end forces the gadget (in), the gadget
-forces the block's end (out), or neither (none).  The union of the blocks' shares,
-re-checked by ``closure`` on G, is the witness.  ``graphs.bridge_blocks``
-finds the bridges and the blocks in one lowlink search.
+becomes B*, the block plus a pendant vertex at the child's end there for
+each child bridge whose side has δ = 1; then Z(side) = Z(B*) plus, over the
+children, Z(child side) - δ(child side), and below a root δ(side) = Z(B*) -
+Z(B* | x), where x is the block's end of its parent bridge.  Top-down,
+``_wavefront`` runs on B* in the state the parent picked: none as is, in
+with x in ``pre``, out with a forbidden leaf at x.  A minimum set of B* is
+minimum over every state vector of the child bridges, so each pendant's
+share of it is its cost in its state, and that child's state is read from
+``_force_steps`` on it: the block's end forces the pendant (in), the pendant
+forces the block's end (out), or neither (none); a child with δ = 0 is in
+state none.  The union of the blocks' shares, re-checked by ``closure`` on
+G, is the witness.  ``graphs.bridge_blocks`` finds the bridges and the
+blocks in one lowlink search.
 
 Blocks are solved in block labels (each vertex's rank in its block) and
 keyed by shape (the adjacency in those labels), the parent end, the
-children's ends and bits (sorted) and the state; B* in state none does not
-depend on the parent end, so that key leaves it out.  Each entry is a
-function of its key, so one memo serves the whole process; it is emptied
-whenever it reaches ``_BLOCK_MEMO_LIMIT`` (1024) entries.  The gadgets of
-G_T share one shape and its tree vertices few keys, so a process runs
-their wavefronts once, not once per G_T.
+children's ends and bits (sorted), δ = 0 ones included, and the state; B*
+in state none does not depend on the parent end, so that key leaves it
+out.  Each entry is a function of its key, so one memo serves the whole
+process; it is emptied whenever it reaches ``_BLOCK_MEMO_LIMIT`` (1024)
+entries.  The bottom-up pass keeps each block's entries for states none and
+in, so the top-down pass looks one up only for a block in state out.  The
+gadgets of G_T share one shape and its tree vertices few keys, so a process
+runs their wavefronts once, not once per G_T.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -344,26 +349,21 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
 # a child bridge's state seen from the child's end y: no force across it,
 # the block forces y, or y forces the block
 _NONE, _IN, _OUT = 0, 1, 2
-# the program runs on graphs of at least this many vertices: on smaller
-# ones its set-up with a cold memo costs about the whole-graph wavefront or
-# more (median time ratio on seeded bridged block trees 1.0 at n = 16, 0.72
-# at 17; CHANGES.md), and a lower floor moves Z's witness on the graphs it adds
-MIN_BRIDGE_PROGRAM_VERTICES = 18
 # the bridge program's memo for the process (see the module docstring):
 # (shape, parent end, children's ends and bits, state) -> (Z of B* in that
 # state, B*'s witness on the block, the children's states), in block labels.
 # An entry of a graph on 62 vertices takes at most about 4.8 kB (a vertex
 # with 61 children), so a full memo about 5 MiB; the G_T from every 3-1
-# tree with 4-14 vertices make 15 entries in all
+# tree with 4-14 vertices make 15 entries in all, 3 of them for the gadget
 _block_memo = {}
 _BLOCK_MEMO_LIMIT = 1024
 
 
 def _solve_block(key, deadline):
     """The memo entry for ``key``: ``_wavefront`` on B*, the block ``shape``
-    plus a pendant vertex at each child end with bit 1 and a P3 hung by its
-    centre at each with bit 0, in ``state`` at the parent ``end``; each
-    child's state is read from the chronology of forces from the witness."""
+    plus a pendant vertex at each child end with bit 1, in ``state`` at the
+    parent ``end``; those children's states are read from the chronology of
+    forces from the witness, and the others' are none."""
     shape, end, kids, state = key
     if state == _NONE:  # B* is the same whatever its parent end
         key = shape, None, kids, state
@@ -376,12 +376,7 @@ def _solve_block(key, deadline):
             rows.append(1 << k)
             return len(rows) - 1
 
-        tops = []
-        for x, bit in kids:
-            tops.append(hang(x))
-            if not bit:
-                hang(tops[-1])
-                hang(tops[-1])
+        tops = [hang(x) if bit else None for x, bit in kids]
         forbidden = 1 << hang(end) if state == _OUT else 0
         pre = 1 << end if state == _IN else 0
         star = Graph(len(rows), tuple(rows))
@@ -431,24 +426,32 @@ def _bridge_tree_zfs(g, split, deadline):
                     else mask_of(label[u] for u in bits(g.adj[v] & members))
                     for v in vs) for members, vs in zip(blocks, keep)]
 
-    # bottom-up: Z of each block's side and, below a root, its bit
-    side, bit, keys = [0] * len(blocks), [0] * len(blocks), [None] * len(blocks)
+    # bottom-up: Z of each block's side and, below a root, its bit; its
+    # entries in states none and in are kept for the way down
+    side, bit = [0] * len(blocks), [0] * len(blocks)
+    keys, solved = [None] * len(blocks), [None] * len(blocks)
     for i in reversed(order):
         _check_deadline(deadline, "zero-forcing")
         end = None if parent[i] is None else label[parent[i][0]]
-        children[i].sort(key=lambda e: (label[e[0]], bit[block_of[e[1]]]))
+        kids = children[i]
+        if len(kids) > 1:
+            kids.sort(key=lambda e: (label[e[0]], bit[block_of[e[1]]]))
         keys[i] = shapes[i], end, tuple(
-            (label[x], bit[block_of[y]]) for x, y in children[i])
-        cost = _solve_block(keys[i] + (_NONE,), deadline)[0]
-        side[i] = cost + sum(side[block_of[y]] - 1 for _, y in children[i])
-        if end is not None:
-            bit[i] = cost - _solve_block(keys[i] + (_IN,), deadline)[0]
+            (label[x], bit[block_of[y]]) for x, y in kids)
+        none = _solve_block(keys[i] + (_NONE,), deadline)
+        side[i] = none[0] + sum(side[block_of[y]] - bit[block_of[y]]
+                                for _, y in kids)
+        blue = (none if end is None
+                else _solve_block(keys[i] + (_IN,), deadline))
+        bit[i] = none[0] - blue[0]  # 0 at a root
+        solved[i] = none, blue  # by state: none, in
 
     # top-down: each block's witness in the state its parent picked
     witness, todo = 0, [(root, _NONE) for root in roots]
     while todo:
         i, state = todo.pop()
-        _, own, states = _solve_block(keys[i] + (state,), deadline)
+        _, own, states = (solved[i][state] if state != _OUT
+                          else _solve_block(keys[i] + (_OUT,), deadline))
         for k in bits(own):
             witness |= 1 << keep[i][k]
         todo += [(block_of[y], s) for (_, y), s in zip(children[i], states)]
@@ -461,10 +464,9 @@ def _bridge_tree_zfs(g, split, deadline):
 
 def zero_forcing_number(g, deadline=None):
     """Exact Z(g) with a minimum witness set: the bridge-tree dynamic
-    program on a graph with a bridge and at least
-    ``MIN_BRIDGE_PROGRAM_VERTICES`` vertices, else the wavefront."""
-    split = bridge_blocks(g) if g.n >= MIN_BRIDGE_PROGRAM_VERTICES else None
-    if split and split[0]:
+    program on a graph with a bridge, else the wavefront."""
+    split = bridge_blocks(g)
+    if split[0]:
         witness = _bridge_tree_zfs(g, split, deadline)
     else:
         witness = _wavefront(g, deadline=deadline)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -16,9 +17,11 @@ from zfalpha.forcing import (ForcingRecord, NotForcingSetError,
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
 from zfalpha.graphs import (GraphError, bits, bridge_blocks, bridges,
                             classify_degrees, complete_bipartite,
-                            complete_graph, cycle_graph, disjoint_union,
-                            graph_from_edges, is_connected, path_graph,
-                            petersen_graph, prism_graph, star_graph)
+                            complete_graph, components, cycle_graph,
+                            disjoint_union, graph_from_edges, induced_subgraph,
+                            is_connected, path_graph, petersen_graph,
+                            prism_graph, star_graph)
+from zfalpha.independence import maximum_independent_set
 
 from oracles import (_is_fort_without, _packing, _shrink_fort,
                      bridged_random_cubic, brute_closure, brute_zero_forcing,
@@ -604,7 +607,7 @@ def test_bridge_program_on_tight_and_bridged_cubic_graphs():
 # in that order.  No certificate field reads Z's witness, so this is what
 # pins the witness that the bridge-tree program returns.
 BRIDGE_WITNESS_DIGEST = (
-    "78068db0291ee3cc91caeefd331366f49047574bb2c3da17e89e13e47741f110")
+    "fc4ced2fa9a53a68cfcbe94c64a70a1381499c9fe8ae4843cf9f4d4c19fd9f24")
 
 
 def test_bridge_witnesses_match_golden_digest():
@@ -642,7 +645,7 @@ def test_bridge_witnesses_match_golden_digest_with_a_cold_and_a_warm_memo():
 
 def test_bridge_program_runs_no_wavefront_on_the_whole_graph(monkeypatch):
     # a tree's blocks are single vertices, so its wavefronts run on B*, a
-    # vertex with a gadget of at most 3 vertices per child bridge.  After
+    # vertex with a pendant per child bridge whose side has bit 1.  After
     # them, G_T runs the wavefront only on its 5-vertex gadget, once per
     # state of the gadget's bridge to the tree: none, in (one vertex blue)
     # and out (a forbidden leaf).  Every G_T has that one gadget shape, and
@@ -694,7 +697,7 @@ def test_bridge_program_stores_nothing_from_a_wavefront_past_its_deadline(
         zero_forcing_number(g)
     assert forcing._block_memo == {}
     assert zero_forcing_number(g) == (13, 86854481)
-    assert sorted(calls) == [3, 3, 5, 5, 5, 6, 8]
+    assert sorted(calls) == [2, 3, 3, 5, 5, 5, 6]
 
 
 def test_block_memo_stays_within_its_limit():
@@ -717,13 +720,12 @@ def test_block_memo_stays_within_its_limit():
     assert len(shapes) > limit and cleared
 
 
-def test_bridge_program_falls_back_to_the_wavefront(monkeypatch):
+def test_bridge_program_runs_on_every_bridged_graph(monkeypatch):
     # a cycle with a pendant vertex at k of its vertices: the cycle block
     # has k bridges, and the program solves it whatever k, here 7 on an
-    # 18-cycle and 6 on a 40-cycle.  A bridged graph below
-    # MIN_BRIDGE_PROGRAM_VERTICES goes to the wavefront instead
-    size = forcing.MIN_BRIDGE_PROGRAM_VERTICES
-    for cycle, pendants in ((size, 7), (40, 6)):
+    # 18-cycle and 6 on a 40-cycle.  The 16-vertex G_T, the smallest, runs
+    # the wavefront only on its blocks' B*, never on the whole graph
+    for cycle, pendants in ((18, 7), (40, 6)):
         g = graph_from_edges(cycle + pendants,
                              [(v, (v + 1) % cycle) for v in range(cycle)]
                              + [(v, cycle + v) for v in range(pendants)])
@@ -732,16 +734,19 @@ def test_bridge_program_falls_back_to_the_wavefront(monkeypatch):
         assert found == _wavefront(g).bit_count() == witness.bit_count()
         assert is_zero_forcing_set(g, witness)
     g = build_tight_graph(generate_31_trees(4)[0]).result
-    assert g.n < size and bridges(g)
+    assert g.n == 16 and bridges(g)
     calls = []
 
-    def recorded(g, *args, **kwargs):
-        calls.append(g.n)
-        return _wavefront(g, *args, **kwargs)
+    def recorded(g, forbidden=0, deadline=None, pre=0):
+        calls.append((g.n, forbidden.bit_count(), pre.bit_count()))
+        return _wavefront(g, forbidden, deadline, pre)
 
+    _cold_memo()
     monkeypatch.setattr(forcing, "_wavefront", recorded)
-    assert zero_forcing_number(g)[1] == _wavefront(g)
-    assert calls == [g.n]
+    found, witness = zero_forcing_number(g)
+    assert sorted(calls) == [(4, 0, 0), (5, 0, 0), (5, 0, 1), (6, 1, 0)]
+    assert witness == forcing._bridge_tree_zfs(g, bridge_blocks(g), None)
+    assert found == witness.bit_count() == 8 and is_zero_forcing_set(g, witness)
 
 
 def test_bridge_program_keeps_the_deadline():
@@ -785,3 +790,83 @@ def test_a_forbidden_leaf_costs_one_more_than_a_blue_end():
             assert z - blue_end in (0, 1), (list(h.edges()), w)
             rooted += 1
     assert rooted == 1167
+
+
+def _rooted_atlas(largest):
+    """(n, edges, root, Z, delta) of each connected atlas graph with 1 to
+    ``largest`` vertices and each of its roots up to automorphism, where
+    delta = Z(H) - Z(H | root), both by brute force."""
+    same_root = nx.algorithms.isomorphism.categorical_node_match("root", False)
+    rooted = []
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if not 1 <= n <= largest or not nx.is_connected(h):
+            continue
+        g = graph_from_edges(n, list(h.edges()))
+        z = brute_zero_forcing(g)
+        seen = []
+        for w in range(n):
+            marked = h.copy()
+            nx.set_node_attributes(marked, {v: v == w for v in h}, "root")
+            if any(nx.is_isomorphic(marked, other, node_match=same_root)
+                   for other in seen):
+                continue
+            seen.append(marked)
+            blue_end = brute_zero_forcing_avoiding(g, 0, 1 << w)
+            rooted.append((n, list(h.edges()), w, z, z - blue_end))
+    return rooted
+
+
+def test_a_child_side_with_no_bit_decouples_from_its_block():
+    # a child side (s, y) with delta(s, y) = 0 joined to any rooted graph
+    # (B, x) by the bridge xy costs Z(B) + Z(s): no force across the bridge
+    # is optimal, so B* leaves such a child out.  Every rooted connected
+    # graph of the atlas with 1-5 vertices on both sides, by brute force
+    rooted = _rooted_atlas(5)
+    assert len(rooted) == 74
+    pairs = 0
+    for nb, edges_b, x, zb, _ in rooted:
+        for ns, edges_s, y, zs, delta in rooted:
+            if delta:
+                continue
+            g = graph_from_edges(nb + ns, edges_b + [(x, nb + y)] + [
+                (nb + u, nb + v) for u, v in edges_s])
+            assert brute_zero_forcing(g) == zb + zs, (edges_b, x, edges_s, y)
+            pairs += 1
+    assert pairs == 740
+
+
+def _piece_class(g, members, w):
+    """(d, delta, epsilon) of the side of g on the vertex mask ``members``,
+    rooted at its bridge end w: Z - alpha, Z - Z(H | w), alpha - alpha(H - w)."""
+    h, keep = induced_subgraph(g, members)
+    root = 1 << keep.index(w)
+    z = zero_forcing_number(h)[0]
+    alpha = maximum_independent_set(h).alpha
+    rest = induced_subgraph(h, h.full_mask & ~root)[0]
+    return (z - alpha, z - _wavefront(h, pre=root).bit_count(),
+            alpha - maximum_independent_set(rest).alpha)
+
+
+def test_piece_lemma_on_the_bridged_cubic_graphs_to_14_vertices():
+    # every bridge side H rooted at w of a cubic graph with n <= 14 has
+    # d <= 1, and d = 1 only with (delta, epsilon) = (1, 0); across each
+    # bridge Z - alpha = d1 + d2 - delta1 * delta2 + epsilon1 * epsilon2
+    cubic = [g for n in range(4, 15, 2) for g in cubic_graphs(n) if bridges(g)]
+    assert len(cubic) == 34
+    classes = Counter()
+    for g in cubic:
+        gap = zero_forcing_number(g)[0] - maximum_independent_set(g).alpha
+        for u, v in bridges(g):
+            adj = list(g.adj)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+            sides = [_piece_class(g, m, u if m >> u & 1 else v)
+                     for m in components(adj, g.full_mask)]
+            (d1, delta1, eps1), (d2, delta2, eps2) = sides
+            assert gap == d1 + d2 - delta1 * delta2 + eps1 * eps2, (g.adj, u, v)
+            classes.update(sides)
+    assert all(d < 1 or (d, delta, eps) == (1, 1, 0)
+               for d, delta, eps in classes)
+    assert classes == {(1, 1, 0): 34, (0, 1, 1): 17, (0, 1, 0): 14,
+                       (-1, 1, 1): 4, (-1, 1, 0): 1}
