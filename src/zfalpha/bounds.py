@@ -281,8 +281,10 @@ def _first_decycling_set(g, size, deadline=None):
     later, so skipping v is dead when it closes a cycle among the skipped
     vertices; and deleting a vertex lowers the cyclomatic number m - n + c
     of g - chosen by at most max_degree - 1, so a node is dead when that
-    number exceeds (max_degree - 1) times the picks left.  A hit is a node
-    with no picks left that passes the second prune, i.e. a forest.
+    number exceeds (max_degree - 1) times the picks left.  The second prune
+    first tries c >= 1 (c = 0 when nothing is left), and counts the
+    components only when that bound passes.  A hit is a node with no picks
+    left that passes the second prune, i.e. a forest.
     ``_check_deadline(deadline, "decycling")`` runs once per search node.
 
     Counting identity: on connected cubic g with |S| = k, g - S has
@@ -303,8 +305,11 @@ def _first_decycling_set(g, size, deadline=None):
             taken = chosen | 1 << u
             rest = full & ~taken
             left = edges - (g.adj[u] & rest).bit_count()
-            if (left - rest.bit_count() + len(components(g.adj, rest))
-                    <= slack * (picks - 1)):
+            # the cyclomatic number left - |rest| + c(rest) may be at most
+            # slack * (picks - 1), so c(rest) at most ``room``
+            room = slack * (picks - 1) - left + rest.bit_count()
+            if (room >= (1 if rest else 0)
+                    and len(components(g.adj, rest)) <= room):
                 if picks == 1:
                     return taken
                 found = search(u + 1, taken, left, picks - 1)

@@ -277,6 +277,8 @@ def bridge_blocks(g):
                 else:  # low[v] can lower low[parent] only here
                     stack[-1][3] |= members
                     low[parent] = min(low[parent], low[v])
+    if not found and len(blocks) == 1:  # bridgeless and connected
+        return found, blocks, [0] * g.n
     blocks.sort(key=lambda m: m & -m)
     block_of = [0] * g.n
     for i, members in enumerate(blocks):
@@ -303,7 +305,7 @@ class DegreeProfile:
 
 
 def classify_degrees(g):
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = [row.bit_count() for row in g.adj]
     dmax = max(degs, default=0)
     return DegreeProfile(
         max_degree=dmax,
@@ -314,13 +316,13 @@ def classify_degrees(g):
 
 def claw_centers(g):
     """Mask of vertices with three pairwise nonadjacent neighbors."""
+    adj = g.adj
     centers = 0
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        if len(nbrs) < 3:
+    for v, row in enumerate(adj):
+        if row.bit_count() < 3:
             continue
-        for a, b, c in itertools.combinations(nbrs, 3):
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
+        for a, b, c in itertools.combinations(bits(row), 3):
+            if not (adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1):
                 centers |= 1 << v
                 break
     return centers

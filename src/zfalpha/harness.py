@@ -7,9 +7,9 @@ timings so that identical inputs produce byte-identical certificate files.
 
 from __future__ import annotations
 
+import atexit
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import (BoundReport, check_small_z_bounds, decycling_number,
@@ -189,8 +189,30 @@ class BatchSummary:
         return not self.violation_certs
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor(*args, **kwargs)``, imported
+    on the first call: a run that forks no worker never loads the pool
+    modules, which are about a quarter of ``import zfalpha``."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+    return executor(*args, **kwargs)
+
+
 # (executor, factory, workers) of the pool kept across verify_batch calls
 _pool = None
+
+
+def _drop_pool(wait=True):
+    """Shut the kept pool down and forget it; without ``wait``, cancel its
+    queued work and return at once."""
+    global _pool
+    if _pool is not None:
+        _pool[0].shutdown(wait=wait, cancel_futures=not wait)
+        _pool = None
+
+
+# the pool module is loaded after this one, so it is torn down first: a pool
+# still kept then would be collected with that module gone
+atexit.register(_drop_pool)
 
 
 def _shared_pool(workers):
@@ -199,8 +221,7 @@ def _shared_pool(workers):
     global _pool
     if _pool is not None and (_pool[1] is not ProcessPoolExecutor
                               or _pool[2] != workers):
-        _pool[0].shutdown()
-        _pool = None
+        _drop_pool()
     if _pool is None:
         _pool = (ProcessPoolExecutor(max_workers=workers),
                  ProcessPoolExecutor, workers)
@@ -219,9 +240,9 @@ def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
     shuts the kept pool down and forks a new one; a call whose work raises
     drops it without waiting for the queued graphs.  Workers run the code
     as it was when they were forked: a name patched later in the parent is
-    not seen by them.  ``concurrent.futures`` joins them at interpreter exit.
+    not seen by them.  The pool module is imported on the first call that
+    forks workers, and the kept pool is shut down at interpreter exit.
     """
-    global _pool
     cfg = cfg or RunConfig()
     graphs = list(graphs)
     if cfg.workers > 1 and len(graphs) > 1:
@@ -233,8 +254,7 @@ def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
         try:
             certs = list(pool.map(_verify_worker, jobs, chunksize=chunksize))
         except BaseException:  # a worker's error, BrokenProcessPool, ^C
-            pool.shutdown(wait=False, cancel_futures=True)
-            _pool = None
+            _drop_pool(wait=False)
             raise
     else:
         certs = [verify_graph(g, cfg) for g in graphs]

@@ -31,14 +31,21 @@ def is_near_independent(g, members):
 def _solve_degree_le2(g, cand):
     """Optimal independent set when every candidate vertex has candidate-degree <= 2.
 
-    The candidate-induced components are paths and cycles; take every other
-    vertex of each one's ``path_order`` walk, less the last of an odd cycle.
+    The candidate-induced components are paths and cycles; take every
+    isolated candidate, then every other vertex of each longer component's
+    ``path_order`` walk, less the last of an odd cycle.
     """
-    chosen = 0
-    for comp in components(g.adj, cand):
-        walk = path_order(g.adj, comp)
+    adj = g.adj
+    chosen, rest = 0, cand
+    while rest:  # bits(cand) inlined: an independent cand is all isolated
+        low = rest & -rest
+        rest ^= low
+        if not adj[low.bit_length() - 1] & cand:
+            chosen |= low
+    for comp in components(adj, cand & ~chosen):
+        walk = path_order(adj, comp)
         chosen |= mask_of(walk[::2])
-        if len(walk) % 2 and g.adj[walk[0]] >> walk[-1] & 1:
+        if len(walk) % 2 and adj[walk[0]] >> walk[-1] & 1:
             chosen &= ~(1 << walk[-1])
     return chosen
 

@@ -116,7 +116,9 @@ def test_bridges_match_networkx():
     rng = random.Random(19)
     cases = [graph_from_edges(0, []), graph_from_edges(1, []), path_graph(2),
              cycle_graph(5), petersen_graph(), star_graph(6),
-             disjoint_union(path_graph(4), cycle_graph(4))]
+             disjoint_union(path_graph(4), cycle_graph(4)),
+             # bridgeless but not connected: one block per component
+             disjoint_union(petersen_graph(), complete_graph(4))]
     for _ in range(300):  # random graphs, sparse enough to have bridges
         n = rng.randint(1, 16)
         cases.append(random_edge_graph(graph_from_edges, n,

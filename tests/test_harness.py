@@ -256,24 +256,53 @@ def test_verify_batch_drops_a_pool_whose_work_raised(tmp_path):
     assert summary.graphs_checked == 2 and summary.ok
 
 
-def test_pool_workers_exit_with_the_interpreter():
-    code = ("import multiprocessing\n"
-            "from zfalpha.graphs import petersen_graph, prism_graph\n"
-            "from zfalpha.harness import RunConfig, verify_batch\n"
-            "verify_batch([petersen_graph(), prism_graph()],"
-            " RunConfig(workers=2))\n"
-            "print(*(p.pid for p in multiprocessing.active_children()))\n")
+def run_python(code):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    done = run_python(
+        "import multiprocessing\n"
+        "from zfalpha.graphs import petersen_graph, prism_graph\n"
+        "from zfalpha.harness import RunConfig, verify_batch\n"
+        "verify_batch([petersen_graph(), prism_graph()],"
+        " RunConfig(workers=2))\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n")
     assert done.returncode == 0, done.stderr
     pids = [int(pid) for pid in done.stdout.split()]
     assert len(pids) == 2
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_a_pooled_run_exits_cleanly():
+    # harness outlives the garbage collection at exit, as it does in a pytest
+    # session that imports bench/tracing.py, so its dict is cleared after the
+    # pool module's; a pool still kept then wakes that module's callback
+    done = run_python(
+        "import sys\n"
+        "from zfalpha import harness\n"
+        "from zfalpha.graphs import petersen_graph, prism_graph\n"
+        "sys.kept = harness\n"
+        "harness.verify_batch([petersen_graph(), prism_graph()],\n"
+        "                     harness.RunConfig(workers=2))\n")
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_a_serial_run_never_loads_the_pool_modules():
+    done = run_python(
+        "import sys\n"
+        "import zfalpha\n"
+        "from zfalpha.graphs import petersen_graph, prism_graph\n"
+        "zfalpha.verify_batch([petersen_graph(), prism_graph()])\n"
+        "print(*(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+        "        if m in sys.modules))\n")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
 # SHA-256 of the certificate file, and of the CSV summary, for every connected
