@@ -60,19 +60,21 @@ share of it is its cost in its state, and that child's state is read from
 ``_force_steps`` on it: the block's end forces the pendant (in), the pendant
 forces the block's end (out), or neither (none); a child with δ = 0 is in
 state none.  The union of the blocks' shares, re-checked by ``closure`` on
-G, is the witness.  ``graphs.bridge_blocks`` finds the bridges and the
-blocks in one lowlink search.
+G, is the witness.  ``graphs.bridge_blocks`` finds the blocks in one
+lowlink search; every edge that leaves a block is a bridge, so a block's
+children are read from its vertices' neighbours outside it.
 
 Blocks are solved in block labels (each vertex's rank in its block) and
-keyed by shape (the adjacency in those labels), the parent end, the
-children's ends and bits (sorted), δ = 0 ones included, and the state; B*
-in state none does not depend on the parent end, so that key leaves it
-out.  Each entry is a function of its key, so one memo serves the whole
-process; it is emptied whenever it reaches ``_BLOCK_MEMO_LIMIT`` (1024)
-entries.  The bottom-up pass keeps each block's entries for states none and
-in, so the top-down pass looks one up only for a block in state out.  The
-gadgets of G_T share one shape and its tree vertices few keys, so a process
-runs their wavefronts once, not once per G_T.
+keyed by what B* is built from: the shape (the adjacency in those labels),
+the parent end, the ends of the children with δ = 1 in ascending order,
+and the state.  B* in state none does not depend on the parent end, so
+that key leaves it out, and a child with δ = 0 is in no key.  Each entry
+is a function of its key, so one memo serves the whole process; it is
+emptied whenever it reaches ``_BLOCK_MEMO_LIMIT`` (1024) entries.  The
+bottom-up pass keeps each block's entries for states none and in, so the
+top-down pass looks one up only for a block in state out.  The gadgets of
+G_T share one shape and its tree vertices few keys, so a process runs
+their wavefronts once, not once per G_T.
 
 ``is_fort`` and ``enumerate_minimal_forts`` serve ``compute --forts``:
 every zero forcing set meets every fort.
@@ -257,9 +259,9 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
     else the highest.  The next state is the closure of ``S | N[v]`` either
     way, and a move whose blued vertices meet ``forbidden`` is skipped.  Only
     white vertices and their neighbours have a move, and they are tried in
-    ascending order.  Each state keeps the ``(parent, added)`` move that
-    first reached it at its least cost, and the witness is R plus the
-    ``added`` masks on the path to the full set.
+    ascending order.  Each state keeps one record, its least cost with the
+    ``(parent, added)`` move that first reached it at that cost, and the
+    witness is R plus the ``added`` masks on the path to the full set.
 
     ``bound`` is the full set's best cost so far (n + 1 before it is
     reached).  The search stops at the first expanded state whose cost + 1
@@ -290,20 +292,19 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
         start |= members ^ 1 << left_out.bit_length() - 1
     origin = closure(g, start | pre)
     start_cost = start.bit_count()
-    best = {origin: start_cost}
-    move = {}
+    records = {origin: (start_cost, None, 0)}  # state -> (cost, parent, added)
     bound = start_cost if origin == full else g.n + 1
     levels = [[] for _ in range(g.n + 1)]  # a state's cost is at most n
     levels[start_cost].append(origin)
     for cost in range(start_cost, g.n + 1):
         for blue in sorted(levels[cost]):
-            if cost > best[blue]:
+            if cost > records[blue][0]:
                 continue  # a cheaper record of this state was expanded already
             _check_deadline(deadline, "zero-forcing")
             if cost + 1 >= bound:
                 witness, state = start, full
                 while state != origin:
-                    state, added = move[state]
+                    _, state, added = records[state]
                     witness |= added
                 return witness
             white = full & ~blue
@@ -334,10 +335,10 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
                 if reached == full:
                     bound = reached_cost
                 elif (reached_cost + 1 >= bound  # the stop rule comes first
-                      or reached_cost >= best.get(reached, bound)):
+                      or reached in records
+                      and reached_cost >= records[reached][0]):
                     continue
-                best[reached] = reached_cost
-                move[reached] = (blue, added)
+                records[reached] = reached_cost, blue, added
                 levels[reached_cost].append(reached)
     raise RuntimeError("the wavefront ran out of states before the full set")
 
@@ -350,23 +351,25 @@ def _wavefront(g, forbidden=0, deadline=None, pre=0):
 # the block forces y, or y forces the block
 _NONE, _IN, _OUT = 0, 1, 2
 # the bridge program's memo for the process (see the module docstring):
-# (shape, parent end, children's ends and bits, state) -> (Z of B* in that
-# state, B*'s witness on the block, the children's states), in block labels.
-# An entry of a graph on 62 vertices takes at most about 4.8 kB (a vertex
-# with 61 children), so a full memo about 5 MiB; the G_T from every 3-1
-# tree with 4-14 vertices make 15 entries in all, 3 of them for the gadget
+# (shape, parent end or None in state none, the ends of the children with
+# bit 1, state) -> (Z of B* in that state, B*'s witness on the block, those
+# children's states), in block labels.  An entry of a graph on 62 vertices
+# takes at most about 1.3 kB (a vertex with 61 children), so a full memo
+# about 1.3 MiB; the G_T from every 3-1 tree with 4-14 vertices make 12
+# entries in all, 3 of them for the gadget
 _block_memo = {}
 _BLOCK_MEMO_LIMIT = 1024
 
 
 def _solve_block(key, deadline):
     """The memo entry for ``key``: ``_wavefront`` on B*, the block ``shape``
-    plus a pendant vertex at each child end with bit 1, in ``state`` at the
-    parent ``end``; those children's states are read from the chronology of
-    forces from the witness, and the others' are none."""
-    shape, end, kids, state = key
+    plus a pendant vertex at each end in ``ones`` (the children's with bit
+    1), in ``state`` at the parent ``end``; those children's states, in the
+    order of ``ones``, are read from the chronology of forces from the
+    witness."""
+    shape, end, ones, state = key
     if state == _NONE:  # B* is the same whatever its parent end
-        key = shape, None, kids, state
+        key = shape, None, ones, state
     found = _block_memo.get(key)
     if found is None:
         rows = list(shape)
@@ -376,14 +379,14 @@ def _solve_block(key, deadline):
             rows.append(1 << k)
             return len(rows) - 1
 
-        tops = [hang(x) if bit else None for x, bit in kids]
+        tops = [hang(x) for x in ones]
         forbidden = 1 << hang(end) if state == _OUT else 0
         pre = 1 << end if state == _IN else 0
         star = Graph(len(rows), tuple(rows))
         witness = _wavefront(star, forbidden, deadline, pre)
         steps = set(_force_steps(star, witness | pre)[0])
         states = tuple(_IN if (x, t) in steps else _OUT if (t, x) in steps
-                       else _NONE for (x, _), t in zip(kids, tops))
+                       else _NONE for x, t in zip(ones, tops))
         if len(_block_memo) >= _BLOCK_MEMO_LIMIT:
             _block_memo.clear()
         found = _block_memo[key] = (witness.bit_count(),
@@ -393,29 +396,9 @@ def _solve_block(key, deadline):
 
 def _bridge_tree_zfs(g, split, deadline):
     """Minimum zero forcing set of g from the bridge-tree dynamic program
-    over ``split``, the bridges, blocks and block of each vertex that
-    ``graphs.bridge_blocks`` gives (see the module docstring)."""
-    cut, blocks, block_of = split
-    ends = [[] for _ in blocks]  # (own end, other end) of each bridge at a block
-    for u, v in cut:
-        ends[block_of[u]].append((u, v))
-        ends[block_of[v]].append((v, u))
-
-    # root each tree of blocks at its lowest block; parents precede children
-    parent, order = {}, []  # block -> (own end, parent's end), None at a root
-    children = [[] for _ in blocks]  # the ends at a block, less its parent's
-    for root in range(len(blocks)):
-        if root in parent:
-            continue
-        parent[root], tree = None, [root]
-        for i in tree:  # breadth first: the loop walks what it appends
-            for x, y in ends[i]:
-                if block_of[y] not in parent:
-                    parent[block_of[y]] = (y, x)
-                    children[i].append((x, y))
-                    tree.append(block_of[y])
-        order += tree
-    roots = [i for i in order if parent[i] is None]
+    over the blocks and the block of each vertex that
+    ``graphs.bridge_blocks`` gives in ``split`` (see the module docstring)."""
+    _, blocks, block_of = split
 
     # block labels and shapes; a block of consecutive vertices is shifted
     keep, label = [[] for _ in blocks], [0] * g.n
@@ -426,37 +409,50 @@ def _bridge_tree_zfs(g, split, deadline):
                     else mask_of(label[u] for u in bits(g.adj[v] & members))
                     for v in vs) for members, vs in zip(blocks, keep)]
 
+    # root each tree of blocks at its lowest block; parents precede
+    # children.  Every edge that leaves a block is a bridge, so a block's
+    # children are its other neighbour blocks, in ascending order of ends
+    end, order = {}, []  # block -> its end of the parent bridge, None at a root
+    children = [[] for _ in blocks]  # (own end, child block), in block labels
+    for root in range(len(blocks)):
+        if root in end:
+            continue
+        end[root], tree = None, [root]
+        for i in tree:  # breadth first: the loop walks what it appends
+            for x in keep[i]:
+                for y in bits(g.adj[x] & ~blocks[i]):
+                    if block_of[y] not in end:
+                        end[block_of[y]] = label[y]
+                        children[i].append((label[x], block_of[y]))
+                        tree.append(block_of[y])
+        order += tree
+
     # bottom-up: Z of each block's side and, below a root, its bit; its
     # entries in states none and in are kept for the way down
     side, bit = [0] * len(blocks), [0] * len(blocks)
     keys, solved = [None] * len(blocks), [None] * len(blocks)
     for i in reversed(order):
         _check_deadline(deadline, "zero-forcing")
-        end = None if parent[i] is None else label[parent[i][0]]
-        kids = children[i]
-        if len(kids) > 1:
-            kids.sort(key=lambda e: (label[e[0]], bit[block_of[e[1]]]))
-        keys[i] = shapes[i], end, tuple(
-            (label[x], bit[block_of[y]]) for x, y in kids)
+        keys[i] = shapes[i], end[i], tuple(x for x, j in children[i] if bit[j])
         none = _solve_block(keys[i] + (_NONE,), deadline)
-        side[i] = none[0] + sum(side[block_of[y]] - bit[block_of[y]]
-                                for _, y in kids)
-        blue = (none if end is None
+        side[i] = none[0] + sum(side[j] - bit[j] for _, j in children[i])
+        blue = (none if end[i] is None
                 else _solve_block(keys[i] + (_IN,), deadline))
         bit[i] = none[0] - blue[0]  # 0 at a root
         solved[i] = none, blue  # by state: none, in
 
-    # top-down: each block's witness in the state its parent picked
-    witness, todo = 0, [(root, _NONE) for root in roots]
-    while todo:
-        i, state = todo.pop()
-        _, own, states = (solved[i][state] if state != _OUT
+    # top-down: each block's witness in the state its parent picked; a
+    # child with bit 0 stays in state none
+    witness, state = 0, [_NONE] * len(blocks)
+    for i in order:
+        _, own, states = (solved[i][state[i]] if state[i] != _OUT
                           else _solve_block(keys[i] + (_OUT,), deadline))
         for k in bits(own):
             witness |= 1 << keep[i][k]
-        todo += [(block_of[y], s) for (_, y), s in zip(children[i], states)]
-    if (closure(g, witness) != g.full_mask
-            or witness.bit_count() != sum(side[r] for r in roots)):
+        for j, s in zip([j for _, j in children[i] if bit[j]], states):
+            state[j] = s
+    if (closure(g, witness) != g.full_mask or witness.bit_count()
+            != sum(side[i] for i in order if end[i] is None)):
         raise RuntimeError("the bridge dynamic program built a set that does "
                            "not force the graph or does not match its cost")
     return witness

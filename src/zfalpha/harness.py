@@ -266,12 +266,13 @@ def verify_batch(graphs, cfg=None, out_path=None, csv_path=None):
     for c in certs:
         if c.phi is not None:
             per_n.setdefault(c.n, []).append(c)
-        if c.claw_center_count == 0 and c.phi is not None:
-            conj = [b for b in c.bounds if b.bound_name == "z_le_alpha_plus_1"
-                    and b.applicable]
-            if conj:
-                claw_checked += 1
-                claw_holds += conj[0].holds
+        # the z_le_alpha_plus_1 row marks a cubic graph whose Z and alpha
+        # are known, whether or not its decycling search finished
+        conj = [b for b in c.bounds if b.bound_name == "z_le_alpha_plus_1"
+                and b.applicable]
+        if c.claw_center_count == 0 and conj:
+            claw_checked += 1
+            claw_holds += conj[0].holds
     for n, group in per_n.items():
         upper[n] = sum(bool(c.upper_embeddable) for c in group) / len(group)
         one[n] = sum(bool(c.one_face) for c in group) / len(group)

@@ -749,6 +749,49 @@ def test_bridge_program_runs_on_every_bridged_graph(monkeypatch):
     assert found == witness.bit_count() == 8 and is_zero_forcing_set(g, witness)
 
 
+def test_block_memo_key_names_b_star_alone(monkeypatch):
+    # B* hangs a pendant vertex only at a child with bit 1, so a child side
+    # with bit 0 is not part of the key: an 8-cycle with a pendant vertex at
+    # 0 and the same graph with a P3 hung by its centre at 4 (Z(P3) = 1 =
+    # Z(P3 | centre), so bit 0) share the cycle block's entry
+    calls = []
+
+    def recorded(g, forbidden=0, deadline=None, pre=0):
+        calls.append(g.n)
+        return _wavefront(g, forbidden, deadline, pre)
+
+    cycle = [(v, (v + 1) % 8) for v in range(8)]
+    _cold_memo()
+    monkeypatch.setattr(forcing, "_wavefront", recorded)
+    assert zero_forcing_number(graph_from_edges(9, cycle + [(0, 8)]))[0] == 2
+    assert 9 in calls
+    calls.clear()
+    g = graph_from_edges(12, cycle + [(0, 8), (4, 9), (9, 10), (9, 11)])
+    found, witness = zero_forcing_number(g)
+    assert found == _wavefront(g).bit_count() == 3
+    assert is_zero_forcing_set(g, witness)
+    assert calls and max(calls) < 8, calls
+    # every G_T from a 3-1 tree with 4-14 vertices: 3 entries for the gadget
+    # in its three states and 9 for tree vertices
+    _cold_memo()
+    for n in range(4, 15, 2):
+        for t in generate_31_trees(n):
+            zero_forcing_number(build_tight_graph(t).result)
+    assert len(forcing._block_memo) == 12
+
+
+def test_leafy_cycle_keeps_the_deadline():
+    # a 46-cycle with a pendant vertex at each of 0, 2, ..., 30: one block
+    # with 16 bridges whose B* is the whole graph, a search of minutes and
+    # hundreds of MiB; the wavefront checks the deadline at every state
+    g = graph_from_edges(62, [(v, (v + 1) % 46) for v in range(46)]
+                         + [(2 * k, 46 + k) for k in range(16)])
+    start = time.monotonic()
+    with pytest.raises(SolverBudgetExceeded):
+        zero_forcing_number(g, deadline=start + 0.3)
+    assert time.monotonic() - start < 1
+
+
 def test_bridge_program_keeps_the_deadline():
     for g in (build_tight_graph(generate_31_trees(8)[0]).result, path_graph(30)):
         with pytest.raises(SolverBudgetExceeded):

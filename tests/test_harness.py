@@ -11,12 +11,12 @@ import pytest
 
 from zfalpha import cli, gadgets, harness
 from zfalpha.cli import main
-from zfalpha.forcing import is_zero_forcing_set
+from zfalpha.forcing import SolverBudgetExceeded, is_zero_forcing_set
 from zfalpha.gadgets import build_tight_graph, generate_31_trees
 from zfalpha.graphs import (Graph6Error, GraphError, complete_bipartite,
                             complete_graph, cycle_graph, disjoint_union,
                             graph_from_edges, parse_graph6, path_graph,
-                            petersen_graph, write_graph6)
+                            petersen_graph, prism_graph, write_graph6)
 from zfalpha.harness import (Certificate, RunConfig, trace_forcing,
                              verify_batch, verify_graph)
 
@@ -177,11 +177,32 @@ def test_decycling_overrun_recorded(monkeypatch):
                                 if b.bound_name != "one_face_forcing")
 
 
+def test_claw_free_tally_counts_a_cubic_graph_whose_decycling_overran(
+        monkeypatch):
+    # the prism is cubic and claw-free; its z_le_alpha_plus_1 row is checked
+    # before the decycling search, so an overrun there leaves it counted
+    def overrun(g, deadline):
+        raise SolverBudgetExceeded("decycling")
+
+    g = prism_graph()
+    summary, _ = verify_batch([g])
+    assert (summary.claw_free_checked, summary.claw_free_holds) == (1, 1)
+    monkeypatch.setattr(harness, "decycling_number", overrun)
+    summary, (cert,) = verify_batch([g])
+    assert cert.incomplete == ("decycling",) and cert.phi is None
+    assert (summary.claw_free_checked, summary.claw_free_holds) == (1, 1)
+
+
 def test_budget_exhaustion_recorded(tmp_path):
-    big = cubic_graphs(12)[0]
-    cert = verify_graph(big, RunConfig(budget_secs=1e-6))
-    assert "zero_forcing" in cert.incomplete
-    assert cert.z is None
+    # a cubic graph under a budget no search meets, and a 46-cycle with a
+    # pendant vertex at each of 0, 2, ..., 30, whose Z search (one block
+    # whose B* is the whole graph) runs for minutes, under 0.3 s
+    leafy = graph_from_edges(62, [(v, (v + 1) % 46) for v in range(46)]
+                             + [(2 * k, 46 + k) for k in range(16)])
+    for g, budget in ((cubic_graphs(12)[0], 1e-6), (leafy, 0.3)):
+        cert = verify_graph(g, RunConfig(budget_secs=budget))
+        assert "zero_forcing" in cert.incomplete
+        assert cert.z is None
 
 
 def test_verify_batch_writes_certificates(tmp_path):
